@@ -25,11 +25,10 @@ from .asymptotics import (
 from .groups import CYCLIC, DENSE, TRIVIAL, mult_group
 from .scheme import (
     CappedGeometric, ExplicitWeights, GeometricTail, Perturbed, SchemeSpec,
-    SpecError, TP_CONST, TP_EXP, TP_WEIGHT, TwoPoint, ValidatedScheme, _div,
+    SpecError, TP_CONST, TP_EXP, TP_WEIGHT, TwoPoint, ValidatedScheme, ZERO, _div,
     normalize, validate,
 )
 
-LABEL_I_N = "I_n"
 LABEL_I_INF = "I_inf"
 LABEL_II_1 = "II_1"
 LABEL_II_INF = "II_inf"
@@ -38,7 +37,7 @@ LABEL_III_LAMBDA = "III_lambda"
 LABEL_III_1 = "III_1"
 LABEL_INCONCLUSIVE = "inconclusive"
 
-LABELS = (LABEL_I_N, LABEL_I_INF, LABEL_II_1, LABEL_II_INF,
+LABELS = (LABEL_I_INF, LABEL_II_1, LABEL_II_INF,
           LABEL_III_0, LABEL_III_LAMBDA, LABEL_III_1, LABEL_INCONCLUSIVE)
 
 
@@ -121,70 +120,133 @@ def _two_point_weights(lam: Num):
     return (_div(1, 1 + lam), _div(lam, 1 + lam))
 
 
-def _prefix_part(vs: ValidatedScheme, per_vector) -> SeriesPart:
-    """Finite contribution of the prefix coordinates."""
-    values = [per_vector(vec) for vec in vs.prefix]
-    total = sum(values) if values else Fraction(0)
-    return SeriesPart("prefix", None, Term("finite", value=total))
-
-
-def _finite_class_part(vs, k, cls, per_vector) -> SeriesPart:
-    values = []
-    for n in cls.indices.members:
-        pos = cls.indices.position_of(n)
-        values.append(per_vector(cls.template.weights_at(n, pos, vs.mode)))
-    return SeriesPart(vs.class_labels()[k], None, Term("finite", value=sum(values)))
-
-
 # ---------------------------------------------------------------------------
-# the three series tests
+# the three series tests: one rule table and one driver
+
+def _fixed_weights(tpl, mode: str) -> tuple:
+    """The weight vector of a class that carries the same one at every
+    coordinate (explicit, or perturbed with a zero deviation)."""
+    return tpl.weights_at(0, 0, mode)
+
+
+def _zero_if_uniform(weights, defect) -> Term:
+    return Term("zero") if _is_uniform(weights) else Term("const", value=defect(weights))
+
+
+def _limit_term(tpl: Perturbed, value: Num) -> Term:
+    return Term("const" if tpl.deviation.family == ZERO else "converges", value=value)
+
+
+def _normalized_limit(tpl: Perturbed) -> tuple:
+    return tuple(_div(v, sum(tpl.limit)) for v in tpl.limit)
+
+
+def _two_point_I(tpl: TwoPoint, mode, c) -> Term:
+    if tpl.form in (TP_CONST, TP_EXP):
+        lam = tpl.value
+        return Term("const" if tpl.form == TP_CONST else "converges",
+                    value=_div(lam, 1 + lam))
+    # the weight form's defect equals eps_n exactly, with closed-form sums;
+    # otherwise defect = lam/(1+lam) with lam = 1-exp(-eps) <= eps
+    return Term.from_deviation(tpl.deviation, exact=tpl.form == TP_WEIGHT)
+
+
+def _two_point_II1(tpl: TwoPoint, mode, c) -> Term:
+    lam = tpl.lam_limit()
+    if tpl.form == TP_CONST:
+        return Term("const", value=uniformity_defect(_two_point_weights(lam)))
+    if lam == 1:
+        # defect comparable to eps_n**2 (verified bound: term <= (1-lam_n)**2)
+        return Term.from_deviation(tpl.deviation.squared())
+    limit_term = uniformity_defect(_two_point_weights(float(lam)) if lam else (1.0, 0.0))
+    return Term("converges", value=limit_term)
+
+
+def _two_point_III(tpl: TwoPoint, mode, c) -> Term:
+    lam = tpl.lam_limit()
+    if tpl.form == TP_CONST:
+        return Term("const", value=ratio_defect(_two_point_weights(lam), c))
+    if lam == 1:
+        return Term.from_deviation(tpl.deviation.squared())
+    if lam == 0:
+        # term comparable to lam_n, hence to eps_n
+        return Term.from_deviation(tpl.deviation)
+    return Term("converges", value=ratio_defect(_two_point_weights(float(lam)), float(c)))
+
+
+def _perturbed_II1(tpl: Perturbed, mode, c) -> Term:
+    if _is_uniform(tpl.limit):
+        # comparable to eps_n**2 (the zero term for a zero deviation)
+        return Term.from_deviation(tpl.deviation.squared())
+    limit = _fixed_weights(tpl, mode) if tpl.deviation.family == ZERO \
+        else _normalized_limit(tpl)
+    return _limit_term(tpl, uniformity_defect(limit))
+
+
+def _perturbed_III(tpl: Perturbed, mode, c) -> Term:
+    if _is_uniform(tpl.limit):
+        # comparable to eps_n**2 (the zero term for a zero deviation)
+        return Term.from_deviation(tpl.deviation.squared())
+    return _limit_term(tpl, ratio_defect(_normalized_limit(tpl), c))
+
+
+# The term of an infinite class, by template kind, in the type-I, type-II_1
+# and type-III series.  Each rule is called as rule(template, mode, C).
+_SERIES_RULES = {
+    ExplicitWeights.kind: (
+        lambda t, mode, c: Term("const", value=1 - _div(max(t.weights), t.total())),
+        lambda t, mode, c: _zero_if_uniform(_fixed_weights(t, mode), uniformity_defect),
+        lambda t, mode, c: _zero_if_uniform(_fixed_weights(t, mode),
+                                            lambda w: ratio_defect(w, c)),
+    ),
+    GeometricTail.kind: (
+        lambda t, mode, c: Term("const", value=1 - _div(max(t.base), t.total())),
+        None,  # the II_1 test rejects infinite alphabets before consulting the table
+        lambda t, mode, c: Term("const", value=_ratio_defect_geometric_tail(t, c, mode)),
+    ),
+    TwoPoint.kind: (_two_point_I, _two_point_II1, _two_point_III),
+    Perturbed.kind: (
+        lambda t, mode, c: _limit_term(t, 1 - _div(max(t.limit), sum(t.limit))),
+        _perturbed_II1,
+        _perturbed_III,
+    ),
+    CappedGeometric.kind: (
+        lambda t, mode, c: Term("converges", value=1),
+        # per-coordinate values scale like 1/|X_n| with affine sizes
+        lambda t, mode, c: Term("power", p=Fraction(1)),
+        lambda t, mode, c: Term("power", p=Fraction(1)),
+    ),
+}
+
+_TYPE_I, _TYPE_II1, _TYPE_III = range(3)
+
+
+def _finite_part(label: str, vectors, per_vector) -> SeriesPart:
+    values = [per_vector(vec) for vec in vectors]
+    total = sum(values) if values else Fraction(0)
+    return SeriesPart(label, None, Term("finite", value=total))
+
+
+def _series_verdict(vs: ValidatedScheme, series: int, per_vector,
+                    c: Num = None) -> SummabilityVerdict:
+    """Sum the prefix and finite classes through ``per_vector`` and take
+    the infinite classes' terms from the rule table."""
+    parts = [_finite_part("prefix", vs.prefix, per_vector)]
+    for label, cls in zip(vs.class_labels(), vs.classes):
+        tpl = cls.template
+        if cls.indices.infinite:
+            term = _SERIES_RULES[tpl.kind][series](tpl, vs.mode, c)
+            parts.append(SeriesPart(label, cls.indices, term))
+        else:
+            vectors = [tpl.weights_at(n, cls.indices.position_of(n), vs.mode)
+                       for n in cls.indices.members]
+            parts.append(_finite_part(label, vectors, per_vector))
+    return summability(SeriesDescriptor(tuple(parts)))
+
 
 def test_type_I(vs: ValidatedScheme) -> SummabilityVerdict:
     """Summability of the defect series sum_n (1 - max_a mu_n(a))."""
-    parts = [_prefix_part(vs, lambda w: 1 - max(w))]
-    labels = vs.class_labels()
-    for k, cls in enumerate(vs.classes):
-        tpl = cls.template
-        label = labels[k]
-        if not cls.indices.infinite:
-            parts.append(_finite_class_part(vs, k, cls, lambda w: 1 - max(w)))
-            continue
-        if isinstance(tpl, ExplicitWeights):
-            t = 1 - _div(max(tpl.weights), tpl.total())
-            parts.append(SeriesPart(label, cls.indices, Term("const", value=t)))
-        elif isinstance(tpl, GeometricTail):
-            t = 1 - _div(max(tpl.base), tpl.total())
-            parts.append(SeriesPart(label, cls.indices, Term("const", value=t)))
-        elif isinstance(tpl, TwoPoint):
-            if tpl.form == TP_CONST:
-                lam = tpl.value
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term("const", value=_div(lam, 1 + lam))))
-            elif tpl.form == TP_EXP:
-                lam = tpl.value
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term("converges", value=_div(lam, 1 + lam))))
-            elif tpl.form == TP_WEIGHT:
-                # defect equals eps_n exactly, closed-form sums available
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term.from_deviation(tpl.deviation, exact=True)))
-            else:
-                # defect = lam/(1+lam) with lam = 1-exp(-eps) <= eps
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term.from_deviation(tpl.deviation)))
-        elif isinstance(tpl, Perturbed):
-            limit_defect = 1 - _div(max(tpl.limit), sum(tpl.limit))
-            if tpl.deviation.family == "zero":
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term("const", value=limit_defect)))
-            else:
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term("converges", value=limit_defect)))
-        elif isinstance(tpl, CappedGeometric):
-            parts.append(SeriesPart(label, cls.indices, Term("converges", value=1)))
-        else:
-            raise SpecError(f"no type-I rule for template {tpl.describe()}")
-    return summability(SeriesDescriptor(tuple(parts)))
+    return _series_verdict(vs, _TYPE_I, lambda w: 1 - max(w))
 
 
 def test_type_II1(vs: ValidatedScheme) -> SummabilityVerdict:
@@ -199,54 +261,7 @@ def test_type_II1(vs: ValidatedScheme) -> SummabilityVerdict:
             DIVERGENT,
             "some coordinates have infinite alphabets; the finite-alphabet "
             "precondition of the II_1 criterion fails")
-    parts = [_prefix_part(vs, _uniformity_defect_finite)]
-    labels = vs.class_labels()
-    for k, cls in enumerate(vs.classes):
-        tpl = cls.template
-        label = labels[k]
-        if not cls.indices.infinite:
-            parts.append(_finite_class_part(vs, k, cls, _uniformity_defect_finite))
-            continue
-        if isinstance(tpl, ExplicitWeights):
-            w = tpl.weights_at(cls.indices.first(), 0, vs.mode)
-            if _is_uniform(w):
-                parts.append(SeriesPart(label, cls.indices, Term("zero")))
-            else:
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term("const", value=uniformity_defect(w))))
-        elif isinstance(tpl, TwoPoint):
-            lam = tpl.lam_limit()
-            if tpl.form == TP_CONST:
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term("const", value=uniformity_defect(_two_point_weights(lam)))))
-            elif lam == 1:
-                # defect comparable to eps_n**2 (verified bound: term <= (1-lam_n)**2)
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term.from_deviation(tpl.deviation.squared())))
-            else:
-                limit_term = uniformity_defect(_two_point_weights(float(lam)) if lam else (1.0, 0.0))
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term("converges", value=limit_term)))
-        elif isinstance(tpl, Perturbed):
-            limit = tpl.weights_at(cls.indices.first(), 0, vs.mode) \
-                if tpl.deviation.family == "zero" else tuple(
-                    _div(v, sum(tpl.limit)) for v in tpl.limit)
-            if _is_uniform(tpl.limit):
-                if tpl.deviation.family == "zero":
-                    parts.append(SeriesPart(label, cls.indices, Term("zero")))
-                else:
-                    parts.append(SeriesPart(label, cls.indices,
-                                            Term.from_deviation(tpl.deviation.squared())))
-            else:
-                t = uniformity_defect(limit)
-                kind = "const" if tpl.deviation.family == "zero" else "converges"
-                parts.append(SeriesPart(label, cls.indices, Term(kind, value=t)))
-        elif isinstance(tpl, CappedGeometric):
-            parts.append(SeriesPart(label, cls.indices,
-                                    Term("power", p=Fraction(1))))
-        else:
-            raise SpecError(f"no II_1 rule for template {tpl.describe()}")
-    return summability(SeriesDescriptor(tuple(parts)))
+    return _series_verdict(vs, _TYPE_II1, _uniformity_defect_finite)
 
 
 def _uniformity_defect_finite(weights):
@@ -261,55 +276,7 @@ def test_type_III(vs: ValidatedScheme, c: Num = Fraction(1)) -> SummabilityVerdi
     verdict does not depend on its value."""
     if c <= 0:
         raise SpecError("the cap C must be positive")
-    parts = [_prefix_part(vs, lambda w: ratio_defect(w, c))]
-    labels = vs.class_labels()
-    for k, cls in enumerate(vs.classes):
-        tpl = cls.template
-        label = labels[k]
-        if not cls.indices.infinite:
-            parts.append(_finite_class_part(vs, k, cls, lambda w: ratio_defect(w, c)))
-            continue
-        if isinstance(tpl, ExplicitWeights):
-            w = tpl.weights_at(cls.indices.first(), 0, vs.mode)
-            t = ratio_defect(w, c)
-            parts.append(SeriesPart(label, cls.indices,
-                                    Term("zero") if _is_uniform(w) else Term("const", value=t)))
-        elif isinstance(tpl, GeometricTail):
-            t = _ratio_defect_geometric_tail(tpl, c, vs.mode)
-            parts.append(SeriesPart(label, cls.indices, Term("const", value=t)))
-        elif isinstance(tpl, TwoPoint):
-            lam = tpl.lam_limit()
-            if tpl.form == TP_CONST:
-                t = ratio_defect(_two_point_weights(tpl.value), c)
-                parts.append(SeriesPart(label, cls.indices, Term("const", value=t)))
-            elif lam == 1:
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term.from_deviation(tpl.deviation.squared())))
-            elif lam == 0:
-                # term comparable to lam_n, hence to eps_n
-                parts.append(SeriesPart(label, cls.indices,
-                                        Term.from_deviation(tpl.deviation)))
-            else:
-                t = ratio_defect(_two_point_weights(float(lam)), float(c))
-                parts.append(SeriesPart(label, cls.indices, Term("converges", value=t)))
-        elif isinstance(tpl, Perturbed):
-            norm = tuple(_div(v, sum(tpl.limit)) for v in tpl.limit)
-            if _is_uniform(tpl.limit):
-                if tpl.deviation.family == "zero":
-                    parts.append(SeriesPart(label, cls.indices, Term("zero")))
-                else:
-                    parts.append(SeriesPart(label, cls.indices,
-                                            Term.from_deviation(tpl.deviation.squared())))
-            else:
-                t = ratio_defect(norm, c)
-                kind = "const" if tpl.deviation.family == "zero" else "converges"
-                parts.append(SeriesPart(label, cls.indices, Term(kind, value=t)))
-        elif isinstance(tpl, CappedGeometric):
-            # per-coordinate value scales like 1/|X_n| with affine sizes
-            parts.append(SeriesPart(label, cls.indices, Term("power", p=Fraction(1))))
-        else:
-            raise SpecError(f"no type-III rule for template {tpl.describe()}")
-    return summability(SeriesDescriptor(tuple(parts)))
+    return _series_verdict(vs, _TYPE_III, lambda w: ratio_defect(w, c), c)
 
 
 def _ratio_defect_geometric_tail(tpl: GeometricTail, c: Num, mode: str) -> Num:
@@ -513,12 +480,11 @@ def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> 
     """Assign a type label with a replayable certificate.
 
     Accepts a raw spec (normalized internally) or an already validated
-    scheme.  Never raises on decidability gaps; those become the
+    scheme, which is used as it is: validation already requires the
+    normalized form.  Never raises on decidability gaps; those become the
     ``inconclusive`` label with the blocking evidence recorded.
     """
-    if isinstance(spec, ValidatedScheme):
-        spec = spec.spec
-    vs = validate(normalize(spec).spec)
+    vs = spec if isinstance(spec, ValidatedScheme) else validate(normalize(spec).spec)
 
     type1 = test_type_I(vs)
     evidence = {"type_I": type1.to_dict()}

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .exact import as_mode, format_scalar
 from .asymptotics import NotTwoPoint, SymbolFinite
 from .classify import (
-    LABEL_I_INF, LABEL_I_N, LABEL_II_1, LABEL_II_INF, LABEL_III_0,
+    LABEL_I_INF, LABEL_II_1, LABEL_II_INF, LABEL_III_0,
     LABEL_III_1, LABEL_III_LAMBDA, LABEL_INCONCLUSIVE,
     BranchError, InconclusiveEvidence, classify,
 )
@@ -32,7 +32,7 @@ from .cocycle import (
     mc_sample_cocycle, witness_search,
 )
 from .scheme import (
-    FactorSpec, SchemeSpec, SpecError, factor_to_scheme, normalize,
+    FactorSpec, SpecError, ValidatedScheme, factor_to_scheme, normalize,
     scheme_to_factor, validate,
 )
 from .specfile import SpecFileError, dump_spec, load_spec
@@ -64,11 +64,12 @@ def _emit(doc: dict, fmt: str, render_text):
         render_text(doc)
 
 
-def _load_scheme(path) -> SchemeSpec:
+def _load_scheme(path) -> ValidatedScheme:
+    """Parse a spec file (scheme or factor data), normalize and validate it."""
     spec = load_spec(path)
     if isinstance(spec, FactorSpec):
-        return factor_to_scheme(spec)
-    return spec
+        return validate(factor_to_scheme(spec))
+    return validate(normalize(spec).spec)
 
 
 def _check_tolerance(name, value):
@@ -85,8 +86,8 @@ def _check_positive(name, value):
 # classify
 
 def cmd_classify(args) -> int:
-    spec = _load_scheme(args.spec)
-    verdict = classify(spec, c=as_mode(args.c, spec.mode))
+    vs = _load_scheme(args.spec)
+    verdict = classify(vs, c=as_mode(args.c, vs.mode))
     doc = {"command": "classify", "spec": args.spec, "verdict": verdict.to_dict()}
 
     def render(doc):
@@ -109,8 +110,7 @@ def cmd_classify(args) -> int:
 # witness
 
 def cmd_witness(args) -> int:
-    spec = _load_scheme(args.spec)
-    vs = validate(normalize(spec).spec)
+    vs = _load_scheme(args.spec)
     _check_tolerance("eps", args.eps)
     _check_tolerance("delta", args.delta)
     _check_positive("max-block", args.max_block)
@@ -119,8 +119,8 @@ def cmd_witness(args) -> int:
         raise SpecError("target must be positive")
     if args.eps >= args.target:
         raise SpecError("eps must be smaller than the target")
-    target = as_mode(args.target, spec.mode)
-    eps = as_mode(args.eps, spec.mode)
+    target = as_mode(args.target, vs.mode)
+    eps = as_mode(args.eps, vs.mode)
     scope = {"start": args.start, "max_block": args.max_block,
              "delta": format_scalar(args.delta), "state_cap": args.state_cap}
     try:
@@ -159,8 +159,7 @@ def cmd_witness(args) -> int:
 # sample
 
 def cmd_sample(args) -> int:
-    spec = _load_scheme(args.spec)
-    vs = validate(normalize(spec).spec)
+    vs = _load_scheme(args.spec)
     _check_tolerance("delta", args.delta)
     _check_tolerance("tol", args.tol)
     _check_positive("samples", args.samples)
@@ -207,11 +206,10 @@ def cmd_sample(args) -> int:
 # oracle
 
 def cmd_oracle(args) -> int:
-    spec = _load_scheme(args.spec)
-    vs = validate(normalize(spec).spec)
+    vs = _load_scheme(args.spec)
     _check_tolerance("delta", args.delta)
     _check_positive("length", args.length)
-    targets = [as_mode(t, spec.mode) for t in args.targets]
+    targets = [as_mode(t, vs.mode) for t in args.targets]
     block = block_for(vs, args.start, args.length, args.delta)
     results = brute_force_block(vs, block, targets)
     doc = {"command": "oracle", "spec": args.spec, "start": args.start,
@@ -234,8 +232,7 @@ def cmd_oracle(args) -> int:
 # report
 
 _AGREEMENT = {
-    LABEL_I_N: "II-like", LABEL_I_INF: "II-like",
-    LABEL_II_1: "II-like", LABEL_II_INF: "II-like",
+    LABEL_I_INF: "II-like", LABEL_II_1: "II-like", LABEL_II_INF: "II-like",
     LABEL_III_0: "III_0-like", LABEL_III_1: "III_1-like",
     LABEL_III_LAMBDA: "III_lambda-like",
 }
@@ -257,14 +254,13 @@ def _labels_agree(verdict, empirical) -> bool:
 
 
 def cmd_report(args) -> int:
-    spec = _load_scheme(args.spec)
+    vs = _load_scheme(args.spec)
     _check_tolerance("delta", args.delta)
     _check_tolerance("tol", args.tol)
     _check_positive("samples", args.samples)
     _check_positive("window", args.window)
     _check_positive("max-block", args.max_block)
-    verdict = classify(spec, c=as_mode(args.c, spec.mode))
-    vs = validate(normalize(spec).spec)
+    verdict = classify(vs, c=as_mode(args.c, vs.mode))
     empirical = estimate_ratio_set(
         vs, seed=args.seed, n_samples=args.samples, window=args.window,
         start=args.start, delta=args.delta, tol=args.tol,

@@ -88,14 +88,14 @@ def block_for(vs: ValidatedScheme, start: int, length: int,
         raise SpecError("block length must be >= 1")
     if start < 0:
         raise SpecError("block start must be >= 0")
-    coords = tuple(range(start + 1, start + length + 1))
-    alphabets = []
-    retained = []
-    for n in coords:
-        t = truncate_alphabet(vs, n, delta)
-        alphabets.append(t.weights)
-        retained.append(t.retained_mass)
-    return Block(coords, tuple(alphabets), tuple(retained), delta)
+    return _block(vs, tuple(range(start + 1, start + length + 1)), delta)
+
+
+def _block(vs: ValidatedScheme, coords: tuple, delta: Num) -> Block:
+    """The block on the given coordinates, which need not be contiguous."""
+    truncated = [truncate_alphabet(vs, n, delta) for n in coords]
+    return Block(coords, tuple(t.weights for t in truncated),
+                 tuple(t.retained_mass for t in truncated), delta)
 
 
 def _check_words(block: Block, x: Sequence[int], y: Sequence[int]):
@@ -159,10 +159,7 @@ class Witness:
             raise SpecError("witness does not certify its target within eps")
 
     def log_value(self) -> float:
-        if is_exact(self.value):
-            f = Fraction(self.value)
-            return math.log(f.numerator) - math.log(f.denominator)
-        return math.log(self.value)
+        return _log_of(self.value)
 
     def to_dict(self):
         return {"coordinates": list(self.coordinates),
@@ -175,14 +172,7 @@ class Witness:
 
 def replay_witness(vs: ValidatedScheme, w: Witness) -> Num:
     """Recompute the witness value from the spec (must equal w.value)."""
-    alphabets = []
-    retained = []
-    for n in w.coordinates:
-        t = truncate_alphabet(vs, n, w.delta)
-        alphabets.append(t.weights)
-        retained.append(t.retained_mass)
-    block = Block(tuple(w.coordinates), tuple(alphabets), tuple(retained), w.delta)
-    return cocycle_ratio(block, w.x, w.y)
+    return cocycle_ratio(_block(vs, tuple(w.coordinates), w.delta), w.x, w.y)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +222,7 @@ def _half_values(vs: ValidatedScheme, coords, delta, state_cap, counter):
     hit = vs._cache.get(key)
     if hit is not None:
         return hit
-    alphabets = []
-    for n in coords:
-        alphabets.append(truncate_alphabet(vs, n, delta).weights)
-    values = _product_values(alphabets, state_cap, counter)
+    values = _product_values(_block(vs, coords, delta).alphabets, state_cap, counter)
     items = sorted(values.items(), key=lambda kv: kv[0])
     out = ([kv[0] for kv in items], [kv[1] for kv in items])
     vs._cache[key] = out
@@ -299,14 +286,11 @@ def witness_search_extremes(vs: ValidatedScheme, eps: Num,
     counter = [0]
     for length in range(1, max_block + 1):
         coords = tuple(range(start + 1, start + length + 1))
-        alphabets = [truncate_alphabet(vs, n, delta).weights for n in coords]
-        values, alt_one = _product_values_alt(alphabets, state_cap, counter)
+        values = _product_values(_block(vs, coords, delta).alphabets, state_cap, counter)
         best = None
         for v, (xw, yw) in values.items():
             if xw == yw:
-                if alt_one is None:
-                    continue
-                xw, yw = alt_one
+                continue
             score = min(abs(v - 1), abs(v))
             if score < eps and (best is None or score < best[0]):
                 near_one = abs(v - 1) <= abs(v)
@@ -319,36 +303,6 @@ def witness_search_extremes(vs: ValidatedScheme, eps: Num,
             _, v, xw, yw, target = best
             return Witness(coords, xw, yw, v, target, eps, delta)
     return None
-
-
-def _product_values_alt(alphabets, state_cap: int, counter: list):
-    """Like :func:`_product_values`, also tracking a representative of the
-    value 1 with x != y when one exists (the plain dict always keeps the
-    identity pair for 1, which the endpoint search must not use)."""
-    one = _one_for(alphabets)
-    values = {one: ((), ())}
-    alt = None
-    for weights in alphabets:
-        moves = _ratio_moves(weights)
-        counter[0] += len(values) * len(moves)
-        if counter[0] > state_cap:
-            raise SearchBudgetExceeded(
-                f"enumeration exceeded the state cap of {state_cap}")
-        nxt = {}
-        new_alt = None
-        if alt is not None:
-            new_alt = (alt[0] + (0,), alt[1] + (0,))
-        for value, (xw, yw) in values.items():
-            for r, (i, j) in moves:
-                v = value * r
-                rep = (xw + (i,), yw + (j,))
-                if v not in nxt:
-                    nxt[v] = rep
-                if new_alt is None and v == one and rep[0] != rep[1]:
-                    new_alt = rep
-        values = nxt
-        alt = new_alt
-    return values, alt
 
 
 def brute_force_block(vs: ValidatedScheme, block: Block, targets: Iterable[Num],

@@ -126,9 +126,6 @@ class Deviation:
             return float(self.coeff) * float(n) ** -float(self.exponent)
         return float(self.values[pos]) if pos < len(self.values) else 0.0
 
-    def eventually_zero(self) -> bool:
-        return self.family in (ZERO, EXPLICIT)
-
     def strictly_positive(self) -> bool:
         """True when eps_n > 0 for every coordinate."""
         return self.family in (GEOMETRIC, POWER)
@@ -725,6 +722,9 @@ class ValidatedScheme:
             if not _sums_to_one(vec, spec.mode):
                 raise NotNormalized(
                     f"prefix coordinate {v} does not sum to 1 (run normalize)")
+            if not _is_sorted_desc(vec):
+                raise NotNormalized(
+                    f"prefix coordinate {v} is not sorted descending (run normalize)")
             if spec.mode == RATIONAL and not all(is_exact(w) for w in vec):
                 raise ModeError(f"prefix coordinate {v} carries floats in rational mode")
         for cls in spec.classes:
@@ -823,11 +823,6 @@ class ValidatedScheme:
             sup = max(sup, m)
         return sup
 
-    def recurring_symbols(self):
-        """Symbols appearing in infinitely many coordinates: range(k) or None for all."""
-        sup = self.limsup_alphabet()
-        return None if sup is None else range(sup)
-
     def symbol_recurs(self, i: int) -> bool:
         sup = self.limsup_alphabet()
         return True if sup is None else i < sup
@@ -835,9 +830,6 @@ class ValidatedScheme:
     def all_two_point(self) -> bool:
         """True when every infinitely recurring coordinate is two-point."""
         return all(c.template.max_alphabet() == 2 for _, c in self.infinite_classes())
-
-    def all_finite_alphabets(self) -> bool:
-        return not self.has_infinite_alphabet()
 
     def two_point_lambda(self, n: int) -> Num:
         """mu_n(1)/mu_n(0) for a two-point coordinate of a normalized spec."""
@@ -890,11 +882,6 @@ def normalize(spec: SchemeSpec) -> NormalizeResult:
         class_perms.append(perm)
     out = SchemeSpec(spec.mode, tuple(prefix), tuple(classes))
     return NormalizeResult(out, tuple(prefix_perms), tuple(class_perms))
-
-
-def validate_normalized(spec: SchemeSpec) -> ValidatedScheme:
-    """normalize >> validate, the standard entry into the classifier."""
-    return validate(normalize(spec).spec)
 
 
 # ---------------------------------------------------------------------------

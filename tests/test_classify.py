@@ -97,6 +97,48 @@ def test_type_III_zero_one_spec_comparable_to_harmonic():
         assert 1.5 / m < t < 2.5 / m
 
 
+def prefixed_finite_spec(mode="rational"):
+    """Prefix (1/3, 2/3) on coordinate 1, (1/4, 3/4) on the finite class
+    {2, 3}, uniform explicit (1/2, 1/2) from coordinate 4 on; every vector
+    is given unsorted, so the spec needs normalizing."""
+    if mode == "rational":
+        prefix, finite, uniform = (F(1, 3), F(2, 3)), (F(1, 4), F(3, 4)), (F(1, 2), F(1, 2))
+    else:
+        prefix, finite, uniform = (1 / 3, 2 / 3), (0.25, 0.75), (0.5, 0.5)
+    return SchemeSpec(mode, (prefix,), (
+        IndexClass(Indices(members=(2, 3)), ExplicitWeights(finite)),
+        IndexClass(Indices(4, 1), ExplicitWeights(uniform))))
+
+
+def test_series_add_prefix_and_finite_class_parts():
+    vs = validate(normalize(prefixed_finite_spec()).spec)
+    # the uniform infinite class has type-I term 1/2 at every coordinate
+    v1 = type_I_series(vs)
+    assert v1.divergent
+    assert v1.total is None
+    # the infinite class adds nothing to the other two series, so each total
+    # is the prefix value plus twice the finite-class value
+    def ud(w):
+        return sum(abs(1 - math.sqrt(2 * x)) ** 2 for x in w) / 2
+
+    v2 = type_II1_series(vs)
+    assert v2.summable
+    assert abs(v2.total - (ud((2 / 3, 1 / 3)) + 2 * ud((3 / 4, 1 / 4)))) < 1e-15
+    # ratio defect at C = 1: (2/9)*1 + (2/9)*(1/4) = 5/18 for the prefix and
+    # (3/16)*1 + (3/16)*(4/9) = 13/48 for each finite coordinate
+    v3 = type_III_series(vs, F(1))
+    assert v3.summable
+    assert v3.total == F(5, 18) + 2 * F(13, 48) == F(59, 72)
+    assert classify(vs).label == "II_1"
+
+
+@pytest.mark.parametrize("spec", [prefixed_finite_spec(), prefixed_finite_spec("float"),
+                                  interleave(F(1, 2), F(1, 3)), zero_one_spec()])
+def test_classify_takes_a_validated_scheme_as_given(spec):
+    vs = validate(normalize(spec).spec)
+    assert classify(vs).to_dict() == classify(spec).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # canonical classifications
 

@@ -331,6 +331,12 @@ def test_extremes_search_nontrivial_unit_witness(powers_half):
     assert len(w.coordinates) == 2
 
 
+def test_extremes_search_needs_a_changed_word():
+    # every ratio of the uniform two-point scheme is 1, reached only with x == y
+    vs = validate(uniform_two_point())
+    assert witness_search_extremes(vs, F(1, 2), max_block=4) is None
+
+
 def test_extremes_search_near_zero():
     # weights (1-eps_n, eps_n): a single flip lands next to 0
     from conftest import type_one_spec

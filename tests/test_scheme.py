@@ -63,6 +63,10 @@ def test_prefix_class_overlap_detected():
 def test_unnormalized_rejected_with_pointer_to_normalize():
     with pytest.raises(NotNormalized):
         validate(single_class(ExplicitWeights((F(1, 3), F(1, 3)))))
+    # a prefix vector must carry its largest weight at symbol 0, as a class does
+    with pytest.raises(NotNormalized):
+        validate(single_class(TwoPoint("const", F(1, 2)), indices=Indices(2, 1),
+                              prefix=((F(1, 6), F(1, 2), F(1, 3)),)))
 
 
 def test_transcendental_template_needs_float_mode():
