@@ -298,7 +298,7 @@ def cmd_convert(args) -> int:
     if args.source == "factor":
         if not isinstance(spec, FactorSpec):
             spec = FactorSpec(spec.mode, spec.prefix, spec.classes)
-        out = factor_to_scheme(spec)
+        out = validate(factor_to_scheme(spec)).spec
     else:
         if isinstance(spec, FactorSpec):
             raise SpecError("input is factor data; use --from factor")
@@ -391,10 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: with no append actions or mutable defaults, parse_args keeps no state
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -6,10 +6,11 @@ is decided by pairwise log-commensurability.
 
 Two decision paths exist:
 
-* exact (rational points): a and b are commensurable iff their prime
-  valuation vectors are parallel, because the logs of distinct primes
-  are linearly independent over the rationals.  This decides the
-  question outright and the certificate confidence is ``exact``.
+* exact (rational points): numerators and denominators are refined by
+  gcd, without factoring, into pairwise coprime integers > 1, whose logs
+  are linearly independent over the rationals.  a and b are
+  commensurable iff their exponent vectors over that basis are parallel.
+  This decides the question outright and the confidence is ``exact``.
 * float path: continued-fraction convergents of log(a)/log(b) up to a
   denominator bound Q, each candidate verified by checking
   a**q = b**p to 1e-12 relative error.  A miss only certifies
@@ -25,7 +26,6 @@ from fractions import Fraction
 from typing import Optional
 
 import mpmath
-import sympy
 
 from .exact import Num, format_scalar, is_exact
 
@@ -64,16 +64,54 @@ class GroupStructure:
 
 
 # ---------------------------------------------------------------------------
-# prime valuation vectors (exact path)
+# valuation vectors over a coprime basis (exact path)
 
-def _valuation_vector(x: Fraction) -> dict:
-    """Exponent of every prime in x = prod p**e, as a dict prime -> e."""
+def _primitive_root(n: int) -> int:
+    """r with n = r**k for the largest possible k."""
+    k = 2
+    while k <= n.bit_length():
+        r = 1 << -(-n.bit_length() // k)             # r**k > n
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s                                    # Newton: r -> floor root of n
+        if r ** k == n:
+            n = r
+        else:                                        # next prime k
+            k += 1
+            while any(k % d == 0 for d in range(2, math.isqrt(k) + 1)):
+                k += 1
+    return n
+
+
+def _coprime_basis(values) -> list:
+    """Pairwise coprime integers > 1, none a perfect power, generating every
+    numerator and denominator of the values: a pair a, b with g = gcd(a, b)
+    > 1 is replaced by a/g, g, b/g until no pair shares a factor."""
+    todo = [n for x in values for n in (x.numerator, x.denominator) if n > 1]
+    basis = []
+    while todo:
+        a = todo.pop()
+        for i, b in enumerate(basis):
+            g = math.gcd(a, b)
+            if g > 1:
+                del basis[i]
+                todo.extend(n for n in (a // g, g, b // g) if n > 1)
+                break
+        else:
+            basis.append(a)
+    return [_primitive_root(b) for b in basis]
+
+
+def _valuation_vector(x: Fraction, basis) -> dict:
+    """Exponent of every basis element in x = prod b**e, as a dict b -> e:
+    parallel, and of equal content (gcd), exactly when the prime valuation
+    vectors are, since no basis element is a perfect power."""
     vec = {}
-    for p, e in sympy.factorint(x.numerator).items():
-        vec[int(p)] = vec.get(int(p), 0) + e
-    for p, e in sympy.factorint(x.denominator).items():
-        vec[int(p)] = vec.get(int(p), 0) - e
-    return {p: e for p, e in vec.items() if e != 0}
+    for b in basis:
+        for n, sign in ((x.numerator, 1), (x.denominator, -1)):
+            while n % b == 0:
+                n //= b
+                vec[b] = vec.get(b, 0) + sign
+    return vec
 
 
 def _parallel_ratio(va: dict, vb: dict) -> Optional[Fraction]:
@@ -128,9 +166,7 @@ def convergents(x: float, max_denominator: int):
 
 
 def _verify_power_equation(a: Num, b: Num, p: int, q: int, rel_tol: float = 1e-12) -> bool:
-    """Check a**q = b**p, exactly for rationals, else to rel_tol."""
-    if is_exact(a) and is_exact(b):
-        return Fraction(a) ** q == Fraction(b) ** p
+    """Check a**q = b**p to rel_tol (float path)."""
     if max(p, q) > 64:
         with mpmath.workdps(60):
             err = q * mpmath.log(a) - p * mpmath.log(b)
@@ -152,7 +188,8 @@ def commensurable(a: Num, b: Num,
     if a == b:
         return (1, 1)
     if is_exact(a) and is_exact(b):
-        t = _parallel_ratio(_valuation_vector(Fraction(a)), _valuation_vector(Fraction(b)))
+        basis = _coprime_basis((a, b))
+        t = _parallel_ratio(_valuation_vector(a, basis), _valuation_vector(b, basis))
         if t is None:
             return None
         return (t.numerator, t.denominator)
@@ -185,8 +222,8 @@ def mult_group(points, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> GroupS
 
     Points must be a finite non-empty subset of (0,1].  A cyclic result
     reports the largest generator in (0,1); exact inputs are decided by
-    prime valuation vectors (Euclid on exponents), float inputs by
-    iterated continued-fraction reduction.
+    exponent vectors over a coprime basis (Euclid on exponents), float
+    inputs by iterated continued-fraction reduction.
     """
     pts = list(points)
     if not pts:
@@ -205,7 +242,8 @@ def mult_group(points, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> GroupS
 
 
 def _mult_group_exact(pts) -> GroupStructure:
-    vectors = [_valuation_vector(Fraction(x)) for x in pts]
+    basis = _coprime_basis(pts)
+    vectors = [_valuation_vector(x, basis) for x in pts]
     base = vectors[0]
     for x, vec in zip(pts[1:], vectors[1:]):
         if _parallel_ratio(vec, base) is None:

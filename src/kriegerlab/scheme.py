@@ -902,7 +902,8 @@ def factor_to_scheme(factor: FactorSpec) -> SchemeSpec:
     """Eigenvalue lists to weight vectors: normalize each list descending.
 
     Zero eigenvalues carry no weight and are dropped.  Inverse of
-    :func:`scheme_to_factor` up to the recorded permutations.
+    :func:`scheme_to_factor` up to the recorded permutations.  The result
+    is not validated.
     """
     prefix = tuple(_strip_zero_entries(vec) for vec in factor.prefix)
     classes = []
@@ -911,10 +912,7 @@ def factor_to_scheme(factor: FactorSpec) -> SchemeSpec:
         if isinstance(tpl, ExplicitWeights):
             tpl = ExplicitWeights(_strip_zero_entries(tpl.weights))
         classes.append(IndexClass(cls.indices, tpl))
-    raw = SchemeSpec(factor.mode, prefix, tuple(classes))
-    result = normalize(raw)
-    validate(result.spec)
-    return result.spec
+    return normalize(SchemeSpec(factor.mode, prefix, tuple(classes))).spec
 
 
 def scheme_to_factor(spec: SchemeSpec) -> FactorSpec:

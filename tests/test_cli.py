@@ -191,6 +191,39 @@ def test_structured_output_byte_identical(capsys, argv):
     assert out1 == out2
 
 
+def test_main_keeps_no_state_between_calls(capsys):
+    # one parser serves every call of main in a process: each call must give
+    # what it gives in a fresh interpreter, whatever ran before it
+    argvs = [
+        ["classify", str(SPEC_DIR / "powers_half.spec"), "--no-such-flag"],
+        ["classify", str(SPEC_DIR / "powers_half.spec"), "--format", "json"],
+        ["report", str(SPEC_DIR / "interleave_2_3.spec"), "--samples", "100",
+         "--window", "10", "--start", "20", "--seed", "3", "--format", "json"],
+    ]
+    in_sequence = [run_cli(capsys, *argv)[:2] for argv in argvs]
+    assert [code for code, _ in in_sequence] == [1, 0, 0]
+    for argv, result in zip(argvs, in_sequence):
+        proc = subprocess.run([sys.executable, "-m", "kriegerlab.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == result
+
+
+@pytest.mark.parametrize("name", ["powers_half.spec", "powers_half.factor"])
+def test_spec_validated_once_per_command(monkeypatch, capsys, name):
+    from kriegerlab.scheme import ValidatedScheme
+    checks = []
+    check = ValidatedScheme._check
+
+    def counting_check(self):
+        checks.append(self)
+        check(self)
+
+    monkeypatch.setattr(ValidatedScheme, "_check", counting_check)
+    code, _, _ = run_cli(capsys, "classify", str(SPEC_DIR / name))
+    assert code == 0
+    assert len(checks) == 1
+
+
 def test_installed_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "kriegerlab.cli", "classify",

@@ -1,13 +1,25 @@
+import json
 import math
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kriegerlab import DomainError, ZeroInSet, commensurable, mult_group
+from kriegerlab import DomainError, ZeroInSet, commensurable, format_scalar, mult_group
+from kriegerlab.cli import main
+
+from conftest import SPEC_DIR
 
 F = Fraction
+
+# primes of 20, 26 and 27 digits: far beyond what trial division or
+# general-purpose factoring finishes on when multiplied together
+R = 10000000000000000051
+P = 10000000000000000000000013
+Q = 100000000000000000000000067
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +127,7 @@ def test_non_dyadic_generator_recovery():
 
 def test_exhaustive_small_exponent_gcd():
     # oracle: integer gcd of the exponents
-    for lam in (F(1, 2), F(2, 3)):
+    for lam in (F(1, 2), F(2, 3), F(1, R)):
         for a in range(1, 8):
             for b in range(1, 8):
                 g = mult_group([lam ** a, lam ** b])
@@ -125,7 +137,7 @@ def test_exhaustive_small_exponent_gcd():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
-       st.sampled_from([F(1, 2), F(1, 3), F(3, 5), F(2, 3)]))
+       st.sampled_from([F(1, 2), F(1, 3), F(3, 5), F(2, 3), F(1, R)]))
 def test_insert_one_and_duplicates_do_not_matter(a, b, lam):
     base = [lam ** a, lam ** b]
     g1 = mult_group(base)
@@ -135,7 +147,7 @@ def test_insert_one_and_duplicates_do_not_matter(a, b, lam):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sets(st.integers(min_value=1, max_value=15), min_size=1, max_size=4),
-       st.sampled_from([F(1, 2), F(2, 5), F(3, 7)]))
+       st.sampled_from([F(1, 2), F(2, 5), F(3, 7), F(1, R)]))
 def test_cyclic_output_reproduces_inputs(exponents, lam):
     pts = [lam ** k for k in exponents]
     g = mult_group(pts)
@@ -143,6 +155,117 @@ def test_cyclic_output_reproduces_inputs(exponents, lam):
     for x in pts:
         k = round(math.log(float(x)) / math.log(float(g.generator)))
         assert g.generator ** k == x
+
+
+@pytest.mark.parametrize("pts, evidence", [
+    ([F(1, 4)], "common generator 1/2 with exponents (2,), gcd 2"),
+    ([F(1, R ** 2)], f"common generator 1/{R} with exponents (2,), gcd 2"),
+    ([F(1, (P * Q) ** 6), F(1, (P * Q) ** 4)],
+     f"common generator 1/{P * Q} with exponents (6, 4), gcd 2"),
+])
+def test_cyclic_evidence_names_the_primitive_generator(pts, evidence):
+    assert mult_group(pts).evidence == (evidence,)
+
+
+def test_large_semiprime_spec_is_exactly_dense(tmp_path, capsys):
+    text = (SPEC_DIR / "interleave_2_3.spec").read_text()
+    assert '"1/3"' in text
+    path = tmp_path / "semiprime.spec"
+    path.write_text(text.replace('"1/3"', f'"1/{P * Q}"'))
+    start = time.perf_counter()
+    code = main(["classify", str(path), "--format", "json"])
+    elapsed = time.perf_counter() - start
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert code == 0
+    assert verdict["label"] == "III_1"
+    group = verdict["certificate"]["evidence"]["two_point"]["group"]
+    assert (group["kind"], group["confidence"]) == ("dense", "exact")
+    assert elapsed < 1.0
+
+
+# ---------------------------------------------------------------------------
+# reference: prime valuation vectors by trial division over a known prime
+# list, then Euclid on the exponents
+
+REF_PRIMES = (2, 3, 5, 7, 11, 13, 101, 997, R)
+
+
+def ref_valuation(x: Fraction) -> dict:
+    vec = {}
+    for n, sign in ((x.numerator, 1), (x.denominator, -1)):
+        for p in REF_PRIMES:
+            while n % p == 0:
+                n //= p
+                vec[p] = vec.get(p, 0) + sign
+        assert n == 1, "point outside the reference prime list"
+    return vec
+
+
+def ref_ratio(va: dict, vb: dict):
+    """t with va = t*vb, else None."""
+    if set(va) != set(vb):
+        return None
+    t = {Fraction(va[p], vb[p]) for p in vb}
+    return t.pop() if len(t) == 1 else None
+
+
+def ref_commensurable(a: Fraction, b: Fraction):
+    t = ref_ratio(ref_valuation(a), ref_valuation(b))
+    return None if t is None else (t.numerator, t.denominator)
+
+
+def ref_group(pts) -> dict:
+    """mult_group(pts).to_dict() for exact points in (0,1]."""
+    pts = [x for x in pts if x != 1]
+    if not pts:
+        return {"kind": "trivial", "generator": None, "confidence": "exact",
+                "max_denominator": None, "evidence": ["all points equal 1"]}
+    vectors = [ref_valuation(x) for x in pts]
+    for x, vec in zip(pts[1:], vectors[1:]):
+        if ref_ratio(vec, vectors[0]) is None:
+            return {"kind": "dense", "generator": None, "confidence": "exact",
+                    "max_denominator": None,
+                    "evidence": [f"log {format_scalar(x)} / log {format_scalar(pts[0])} "
+                                 "is irrational (prime valuation vectors not parallel)"]}
+    content = math.gcd(*vectors[0].values())
+    unit = {p: e // content for p, e in vectors[0].items()}
+    h = math.prod(Fraction(p) ** e for p, e in unit.items())
+    if h > 1:
+        h, unit = 1 / h, {p: -e for p, e in unit.items()}
+    p0 = min(unit)
+    exponents = tuple(vec[p0] // unit[p0] for vec in vectors)
+    g = math.gcd(*exponents)
+    return {"kind": "cyclic", "generator": format_scalar(h ** g), "confidence": "exact",
+            "max_denominator": None,
+            "evidence": [f"common generator {format_scalar(h)} with exponents "
+                         f"{exponents}, gcd {g}"]}
+
+
+def _point(exponents: dict) -> Fraction:
+    x = math.prod(Fraction(p) ** e for p, e in exponents.items())
+    return x if x <= 1 else 1 / x
+
+
+prime_powers = st.dictionaries(st.sampled_from(REF_PRIMES), st.integers(-4, 4),
+                               min_size=1, max_size=3).map(_point)
+
+
+@st.composite
+def point_sets(draw):
+    """Points from the reference primes, many of them powers h**k of one h."""
+    h = draw(prime_powers)
+    parts = draw(st.lists(st.tuples(st.booleans(), prime_powers, st.integers(1, 6)),
+                          min_size=1, max_size=4))
+    return [(h if shared else x) ** k for shared, x, k in parts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_exact_path_matches_prime_valuation_reference(pts):
+    assert mult_group(pts).to_dict() == ref_group(pts)
+    for a, b in combinations([x for x in pts if x != 1], 2):
+        expected = (1, 1) if a == b else ref_commensurable(a, b)
+        assert commensurable(a, b) == expected
 
 
 def test_float_path_cyclic_with_bounded_confidence():
