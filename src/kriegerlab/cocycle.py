@@ -21,9 +21,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import Num, format_scalar, is_exact
+from .exact import RATIONAL, Num, format_scalar, is_exact
 from .scheme import SpecError, ValidatedScheme, truncate_alphabet
 
 DEFAULT_STATE_CAP = 10 ** 8
@@ -115,7 +116,7 @@ def cocycle_ratio(block: Block, x: Sequence[int], y: Sequence[int]) -> Num:
     Exact (a Fraction) whenever the weights are rational.
     """
     _check_words(block, x, y)
-    num = Fraction(1) if all(is_exact(w) for a in block.alphabets for w in a) else 1.0
+    num = 1
     for k in range(len(block)):
         w = block.alphabets[k]
         num = num * w[y[k]] / w[x[k]]
@@ -179,54 +180,50 @@ def replay_witness(vs: ValidatedScheme, w: Witness) -> Num:
 # achievable-value enumeration
 
 def _ratio_moves(weights) -> list:
-    """Distinct per-coordinate ratios w[j]/w[i] with one representative each."""
+    """Distinct ratios w[j]/w[i], increasing, each with its first (i, j).
+
+    The lexicographically first pair joins first occurrences of both
+    weights, so only distinct weights are divided.
+    """
+    first = {}
+    for i, w in enumerate(weights):
+        first.setdefault(w, i)
     out = {}
-    for i, wi in enumerate(weights):
-        for j, wj in enumerate(weights):
-            r = wj / wi if not is_exact(wi) else Fraction(wj) / Fraction(wi)
-            if r not in out:
-                out[r] = (i, j)
-    return sorted(out.items(), key=lambda kv: float(kv[0]))
+    for wi, i in first.items():
+        for wj, j in first.items():
+            out.setdefault(wj / wi, (i, j))
+    return sorted(out.items())
+
+
+def _extend(values: dict, weights, state_cap: int, counter: list) -> dict:
+    """Extend achievable values by one coordinate of weights ``weights``.
+
+    Keeps the first word pair per exact value; ``counter`` accumulates
+    enumerated states against the cap.
+    """
+    moves = _ratio_moves(weights)
+    counter[0] += len(values) * len(moves)
+    if counter[0] > state_cap:
+        raise SearchBudgetExceeded(
+            f"enumeration exceeded the state cap of {state_cap}")
+    nxt = {}
+    for value, (xw, yw) in values.items():
+        for r, (i, j) in moves:
+            v = value * r
+            if v not in nxt:
+                nxt[v] = (xw + (i,), yw + (j,))
+    return nxt
 
 
 def _product_values(alphabets, state_cap: int, counter: list) -> dict:
     """All achievable block values with one representative word pair each.
 
-    Deduplicates by exact value after every coordinate; ``counter``
-    accumulates the number of enumerated states against the cap.
+    Starts from the int 1, which keeps the weights' own arithmetic type.
     """
-    values = {_one_for(alphabets): ((), ())}
+    values = {1: ((), ())}
     for weights in alphabets:
-        moves = _ratio_moves(weights)
-        counter[0] += len(values) * len(moves)
-        if counter[0] > state_cap:
-            raise SearchBudgetExceeded(
-                f"enumeration exceeded the state cap of {state_cap}")
-        nxt = {}
-        for value, (xw, yw) in values.items():
-            for r, (i, j) in moves:
-                v = value * r
-                if v not in nxt:
-                    nxt[v] = (xw + (i,), yw + (j,))
-        values = nxt
+        values = _extend(values, weights, state_cap, counter)
     return values
-
-
-def _one_for(alphabets) -> Num:
-    exact = all(is_exact(w) for a in alphabets for w in a)
-    return Fraction(1) if exact else 1.0
-
-
-def _half_values(vs: ValidatedScheme, coords, delta, state_cap, counter):
-    key = ("half", coords, str(delta))
-    hit = vs._cache.get(key)
-    if hit is not None:
-        return hit
-    values = _product_values(_block(vs, coords, delta).alphabets, state_cap, counter)
-    items = sorted(values.items(), key=lambda kv: kv[0])
-    out = ([kv[0] for kv in items], [kv[1] for kv in items])
-    vs._cache[key] = out
-    return out
 
 
 def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
@@ -235,23 +232,30 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
                    state_cap: int = DEFAULT_STATE_CAP) -> Optional[Witness]:
     """Search for a word pair with |D(x->y) - target| < eps.
 
-    Meet in the middle over log space: achievable half-block values are
-    enumerated exactly (reusable across targets), one half sorted and
-    the complementary interval binary-searched.  Returns a witness on
-    the smallest block length admitting one, or None.  None is a
-    bounded-scope statement over (max_block, delta, state_cap), not a
-    proof that the target is outside the achievable closure.
+    Meet in the middle: exact values of the first ceil(length/2)
+    coordinates (grown at odd lengths) against the sorted values of the
+    rest (grown by the new coordinate at even lengths).  Returns a witness
+    on the smallest block length admitting one, or None: a bounded-scope
+    statement over (max_block, delta, state_cap), the cap counting the
+    states of this call, not a proof that the target is unreachable.
     """
     if not target > 0:
         raise SpecError("target must be positive")
     if not (0 < eps < target):
         raise SpecError("eps must lie in (0, target)")
     counter = [0]
+    alphabets = []
+    left = {1: ((), ())}
     for length in range(1, max_block + 1):
-        coords = tuple(range(start + 1, start + length + 1))
+        alphabets.append(truncate_alphabet(vs, start + length, delta).weights)
         mid = (length + 1) // 2
-        left_vals, left_words = _half_values(vs, coords[:mid], delta, state_cap, counter)
-        right_vals, right_words = _half_values(vs, coords[mid:], delta, state_cap, counter)
+        if length % 2:
+            left = _extend(left, alphabets[mid - 1], state_cap, counter)
+            left_vals, left_words = zip(*sorted(left.items()))
+            right = _product_values(alphabets[mid:], state_cap, counter)
+        else:
+            right = _extend(right, alphabets[-1], state_cap, counter)
+        right_vals, right_words = zip(*sorted(right.items()))
         best = None
         for lv, lw in zip(left_vals, left_words):
             # nearest achievable completion to target/lv, checked exactly
@@ -264,8 +268,8 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
                         best = (dist, value, lw, right_words[j])
         if best is not None:
             _, value, lw, rw = best
-            return Witness(coords, lw[0] + rw[0], lw[1] + rw[1],
-                           value, target, eps, delta)
+            return Witness(tuple(range(start + 1, start + length + 1)),
+                           lw[0] + rw[0], lw[1] + rw[1], value, target, eps, delta)
     return None
 
 
@@ -284,9 +288,11 @@ def witness_search_extremes(vs: ValidatedScheme, eps: Num,
     if not (0 < eps < 1):
         raise SpecError("eps must lie in (0, 1)")
     counter = [0]
+    values = {1: ((), ())}
     for length in range(1, max_block + 1):
         coords = tuple(range(start + 1, start + length + 1))
-        values = _product_values(_block(vs, coords, delta).alphabets, state_cap, counter)
+        weights = truncate_alphabet(vs, coords[-1], delta).weights
+        values = _extend(values, weights, state_cap, counter)
         best = None
         for v, (xw, yw) in values.items():
             if xw == yw:
@@ -383,15 +389,6 @@ def _derived_seed(seed: int, stream: int) -> int:
     return (seed ^ ((stream + 1) * _GOLDEN)) & _MASK64
 
 
-def _cumulative(weights) -> list:
-    out = []
-    acc = 0
-    for w in weights:
-        acc = acc + w
-        out.append(acc)
-    return out
-
-
 def _draw_symbol(rng: random.Random, cums, retained) -> int:
     # smallest i with u*retained < cums[i], by binary search
     u = rng.random()
@@ -417,8 +414,8 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
     if n_samples < 1:
         raise SpecError("n_samples must be >= 1")
     block = block_for(vs, start, window, delta)
-    exact = all(is_exact(w) for a in block.alphabets for w in a)
-    cums = [_cumulative(a) for a in block.alphabets]
+    exact = vs.mode == RATIONAL
+    cums = [list(accumulate(a)) for a in block.alphabets]
     logs = []
     ratios = [] if exact else None
     moves = []

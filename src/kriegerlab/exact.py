@@ -9,6 +9,7 @@ certificate derived from it.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -53,11 +54,14 @@ def parse_scalar(value, mode: str) -> Num:
 
 
 def format_scalar(x: Num):
-    """JSON-ready form: Fractions as 'p/q' strings, floats as floats."""
+    """JSON-ready form: Fractions as 'p/q' strings, floats as floats.
+
+    Through ``Decimal``: ``str(int)`` has a digit limit that specs can pass.
+    """
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return str(Decimal(x.numerator))
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
     return x
 
 

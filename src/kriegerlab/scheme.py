@@ -695,11 +695,11 @@ class FactorSpec:
 # validation
 
 class ValidatedScheme:
-    """A checked spec with per-class derived data cached.
+    """A checked spec.
 
-    Immutable by convention: nothing mutates after construction except
-    the private memo used by the cocycle search, whose entries are
-    deterministic functions of the spec.
+    Immutable by convention: nothing mutates after construction, and it
+    keeps no memo, so a search on it depends only on the search's own
+    arguments, never on searches run before.
     """
 
     def __init__(self, spec: SchemeSpec):
@@ -707,7 +707,6 @@ class ValidatedScheme:
         self.mode = spec.mode
         self.prefix = spec.prefix
         self.classes = spec.classes
-        self._cache = {}
         self._check()
 
     # -- validation -------------------------------------------------------

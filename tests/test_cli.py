@@ -282,6 +282,24 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert "internal error" in err
 
 
+def test_lambda_values_beyond_the_int_str_digit_limit(tmp_path, capsys):
+    # 2**14001 has 4215 digits: a valid spec, whose ratios overflow a float
+    # and whose printed values pass Python's default int-to-str limit
+    doc = json.loads((SPEC_DIR / "interleave_2_3.spec").read_text())
+    doc["classes"][0]["template"]["lambda"]["value"] = f"1/{2 ** 14000}"
+    doc["classes"][1]["template"]["lambda"]["value"] = f"1/{2 ** 14001}"
+    path = str(tmp_path / "big_lambda.spec")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, _ = run_cli(capsys, "classify", path)
+    assert code == 0
+    assert out.splitlines()[0] == "III_lambda lambda=1/2"
+    for argv in (["report", path, "--samples", "50"],
+                 ["witness", path, "--target", "1/2", "--eps", "1/10"],
+                 ["oracle", path, "--targets", "1/2"]):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_witness_on_float_mode_spec(capsys):
     code, out, _ = run_cli(capsys, "witness", str(SPEC_DIR / "lambda_zero_one.spec"),
                            "--target", "0.9", "--eps", "0.05",

@@ -7,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import (
-    BlockTooLarge, InsufficientSamples, OverlappingBlocks, SymbolOutOfRange,
-    Witness, WordLengthMismatch, block_for, brute_force_block, cocycle_ratio,
-    compose_witnesses, estimate_ratio_set, lattice_detect, log_cocycle,
-    mc_sample_cocycle, replay_witness, validate, witness_search,
+    BlockTooLarge, InsufficientSamples, OverlappingBlocks, SearchBudgetExceeded,
+    SymbolOutOfRange, Witness, WordLengthMismatch, block_for, brute_force_block,
+    cocycle_ratio, compose_witnesses, estimate_ratio_set, lattice_detect,
+    log_cocycle, mc_sample_cocycle, replay_witness, validate, witness_search,
     witness_search_extremes,
 )
 from kriegerlab import normalize
+from kriegerlab.cocycle import _ratio_moves
 
-from conftest import F, geometric_scheme, interleave, powers, uniform_two_point
+from conftest import (
+    F, capped_scheme, geometric_scheme, interleave, powers, uniform_two_point,
+)
 
 LOG2 = math.log(2.0)
 
@@ -136,6 +139,62 @@ def test_search_agrees_with_oracle_on_borderlines(powers_half):
     w = witness_search(powers_half, target, dist + F(1, 10 ** 9), max_block=6)
     assert w is not None
     assert abs(w.value - target) < dist + F(1, 10 ** 9)
+
+
+def test_repeated_searches_agree():
+    # the scheme keeps no memo, so a search depends only on its arguments
+    # and never on the searches run before it on the same scheme
+    vs = validate(interleave(F(1, 2), F(1, 3)))
+    target = F(1, 2) ** 5 * F(1, 3) ** 5
+
+    def outcome():
+        try:
+            return witness_search(vs, target, F(1, 10 ** 12), max_block=40,
+                                  state_cap=400)
+        except SearchBudgetExceeded as exc:
+            return str(exc)
+
+    first = outcome()
+    assert all(outcome() == first for _ in range(3))
+
+
+def _lexicographic_first_pairs(weights):
+    # reference: every ordered pair of positions, in lexicographic order
+    out = {}
+    for i, j in itertools.product(range(len(weights)), repeat=2):
+        out.setdefault(weights[j] / weights[i], (i, j))
+    return out
+
+
+def _check_ratio_moves(weights):
+    # every ratio w[j]/w[i] once, increasing, with its lexicographically first pair
+    moves = _ratio_moves(weights)
+    ratios = [r for r, _ in moves]
+    assert ratios == sorted(set(ratios))
+    assert dict(moves) == _lexicographic_first_pairs(weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ratio_moves_first_pairs_with_repeated_weights(data):
+    pool = data.draw(st.lists(st.fractions(min_value=F(1, 1000), max_value=1),
+                              min_size=1, max_size=5, unique=True))
+    weights = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    if data.draw(st.booleans()):
+        weights = [float(w) for w in weights]
+    _check_ratio_moves(weights)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_ratio_moves_capped_geometric_alphabet(mode):
+    # 200 symbols but only cap + 1 = 4 distinct weights
+    vs = validate(capped_scheme(F(1, 2), 3))
+    weights = block_for(vs, 198, 1).alphabets[0]
+    assert len(weights) == 200
+    if mode == "float":
+        weights = tuple(float(w) for w in weights)
+    _check_ratio_moves(weights)
+    assert len(_ratio_moves(weights)) == 7
 
 
 def test_block_too_large_guard():

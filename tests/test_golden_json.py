@@ -1,0 +1,106 @@
+"""Pinned ``--format json`` output of every command on every shipped spec.
+
+Byte-identical JSON is part of the interface: a change that alters the
+printed document of any command, even where its verdict stands, changes
+one of these sha256 digests of stdout (or the exit code) and must say so.
+"""
+
+import hashlib
+
+import pytest
+
+from kriegerlab.cli import main
+
+from conftest import SPEC_DIR
+
+ARGS = {
+    "classify": [],
+    "witness": ["--target", "1/3", "--eps", "1/1000", "--max-block", "9"],
+    "oracle": ["--length", "4", "--targets", "1/2", "1/3", "7/10"],
+    "sample": ["--samples", "200"],
+    "report": ["--samples", "200"],
+}
+
+# capped_half's alphabets have about as many symbols as the coordinate
+# index; sampling at the default start 1000 would dominate the suite
+START = {("capped_half.spec", "sample"): "200", ("capped_half.spec", "report"): "200"}
+
+GOLDEN = {
+    "capped_half.spec": {
+        "classify": (0, "520e5ed7251eed0da0f135bfe4c2c07484ef31609d871b783a9bab6554796f0d"),
+        "witness": (2, "e6bde610da5a880cd279d1ab10f1c2f8e5f395fc517262b84fdbd3c1141d0c7b"),
+        "oracle": (0, "2afe68499855114de9ce75bf226ea8fe1b50ea39b529e1c8db0036f29cd67c93"),
+        "sample": (0, "11d679ac3855392b98a07c4a81074846c87414bb326ee37a35173f37db2303e0"),
+        "report": (0, "737630e97ad4fbe48346172c721139f07369788d174fca955e238e1e388a081e"),
+    },
+    "geom_half.spec": {
+        "classify": (0, "18c88c1098c6b1a068b6f2ac35864bab005fbeccc019134a0cb45cd6264712fe"),
+        "witness": (2, "d24e2c1544e6e1e0af15bfae0d2df2954af1fef1a75a80e642dda859771c0531"),
+        "oracle": (0, "4a4af1c7a5ec19f65918fd3a30bcd167a465aae09a2c646db026e7799351d868"),
+        "sample": (0, "364c2853c30eb734e56e7a1dd896d21428403a026de8b85f218401afe1cd7532"),
+        "report": (0, "c0586cf94d29c6fcef3ffdf9529cfd2bb0315a177ba046b409f298040bd7a141"),
+    },
+    "interleave_2_3.spec": {
+        "classify": (0, "ce5147be63c032385976bbb029f68b6dd1f0854ce578073fc45c0e3ac5ee78ec"),
+        "witness": (0, "0b631e8ad79ca859e3650706df67d8a8bf1194c544b58d111e4e4cdb82d30c69"),
+        "oracle": (0, "1ee9b169e1eac56fee7859e3964d0cf87b467570fc9fbfb5ff1532d3e773e7b2"),
+        "sample": (0, "6ea5684abb052b7670c179b149b9c44f5688ae23c9cd2a970e4c574ce0b67e32"),
+        "report": (0, "ec24c50ba6d97c6db75949979412b94808f741f3eaa6111d69af0176832b5c22"),
+    },
+    "lambda_zero_one.spec": {
+        "classify": (0, "a6c9a18bfad21773a6edd38b32e785735d0c9e1a5f96659d41b635335137b2ce"),
+        "witness": (0, "c5b44bc53d961915c24263fde43a06b567addbdb25dfdd8cc3b5435569e6bc82"),
+        "oracle": (0, "9a090c091c1cc14b946ff80121409a98748ac5c79013bcdba7f078d77a1eee13"),
+        "sample": (0, "1ae6bae7e139b4e43192a863799da399bbb437bba7bdfa424fe7f253b8b30d19"),
+        "report": (0, "6ed426e69d4ebdaf0dc93659d99ba1bf47fba88da0c3bf4f767ab7b3bffb4cad"),
+    },
+    "powers_half.factor": {
+        "classify": (0, "1ac8dcb4b0676c9018d990aababfb66f51e5870d627bf2e8bb3782391e733812"),
+        "witness": (2, "d38a4e66fe4cfea34390aa44a7f86b3e667395e929a8a2b2acfa44154f8748c5"),
+        "oracle": (0, "a99bffe5b4d646f63c54e4bb28120513a34b63c9a7f0f2d9f83d9db1e31b1bae"),
+        "sample": (0, "f6b514e35f2bb287e28202e4f9ce7992d66b3137106f74eee5ff561498d793e6"),
+        "report": (0, "18ec75fbe30142afd49ce62572aa98f002847e4f2af2d9ffc2e2c6086011a9f5"),
+    },
+    "powers_half.spec": {
+        "classify": (0, "3e6f5ca4445a767bce7b4c2e39d35615ebebcbe8896d694fc681ee2bedc535ce"),
+        "witness": (2, "73f5a1acf122f2d4207303ecb9ad5e3e3d5850c4db0a2413d9ab5d91919b59b3"),
+        "oracle": (0, "92357be58872675f952a87ac239b4b011e28c9157e88c54e640d7614fb94de7c"),
+        "sample": (0, "652c8ad82d22f5b3c83c07f2a54233965649bc61468512a8a1b0a8057a8c5872"),
+        "report": (0, "67e54d293c0cf7e617a15fa279a681c9021e73360f4d28651bd9a2697cd628dc"),
+    },
+    "two_inf.spec": {
+        "classify": (0, "3fdb1ebcac07295cf38a047f4648a0ca8deb0142967e9edaca755e7259388d8c"),
+        "witness": (2, "9b69be5097eaba54fbec1bcf219f2635aa30774c4a02d789d8f8a508036f5199"),
+        "oracle": (0, "d85b42a16a1425242707bd56079b61564be2b9fde9f888001cd5261530336607"),
+        "sample": (0, "165cdc2dbc056edda2e744a5cc690169bd0310448d0db4624fa4180ddd67100b"),
+        "report": (0, "e0d7dd7324e0a3d300fe159b7073d74d2da8a0faa2423befce7042bd68bd64a3"),
+    },
+    "type_one.spec": {
+        "classify": (0, "0b5fc10e21ddb3d33ea86699a21c38408bcf5f7630212262690a669b3221e084"),
+        "witness": (0, "e7372898933be2d27df95c02ba329b387faba2b9378a12b6c2751aad7c68f60a"),
+        "oracle": (0, "11d0a92e5c90e5e2ef1e5d3b60ec37f543cefaea42ec00a259bc5206377860d4"),
+        "sample": (0, "721363a8ddbc08966383aa3b15cfd27c11e00c9443fcbddecbbfbe4f5bba660c"),
+        "report": (0, "0bdb557eeadc8fcbce83705494d89ef4401f1c5fb3526fcd3ba592c2c849448b"),
+    },
+    "uniform.spec": {
+        "classify": (0, "54a8c15275b78c5b0181b46609cd3196dd4ae5d3ba261c86396a32e4734e9606"),
+        "witness": (2, "6dd2dedf1a19768021d209a0c2e6521957b8ac6696379aa82d4802277da5d1a4"),
+        "oracle": (0, "b5515cf19ea0967de4eeb2cbcf71ecfcac2621591c1f4d5fba0d5ba4d7683165"),
+        "sample": (0, "89d1a244dd87242e5f3a2f64ab17980b391115cbcb9882b06f9d6b13f9417560"),
+        "report": (0, "b4a4cb0ea5799a81359e865c612b73d5416438ddf401fe0025d38460c756a62f"),
+    },
+}
+
+
+@pytest.mark.parametrize("spec, command", [
+    (spec, command) for spec, digests in GOLDEN.items() for command in digests])
+def test_json_output_pinned(monkeypatch, capsys, spec, command):
+    # the document records the spec path as given: run from the spec
+    # directory so that it does not depend on where the checkout lies
+    monkeypatch.chdir(SPEC_DIR)
+    argv = [command, spec, *ARGS[command], "--format", "json"]
+    if (spec, command) in START:
+        argv += ["--start", START[spec, command]]
+    code = main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == GOLDEN[spec][command]
