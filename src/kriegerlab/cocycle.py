@@ -37,6 +37,7 @@ DEFAULT_SEED = int.from_bytes(b"B3RN0U11", "big")
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_TWO53 = float(1 << 53)
 
 
 class WordLengthMismatch(SpecError):
@@ -156,7 +157,9 @@ class Witness:
     delta: Num            # truncation budget under which it was found
 
     def __post_init__(self):
-        if not abs(self.value - self.target) < self.eps:
+        # exact when the value is, as in witness_search
+        target = Fraction(self.target) if is_exact(self.value) else self.target
+        if not abs(self.value - target) < self.eps:
             raise SpecError("witness does not certify its target within eps")
 
     def log_value(self) -> float:
@@ -239,10 +242,13 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     statement over (max_block, delta, state_cap), the cap counting the
     states of this call, not a proof that the target is unreachable.
     """
-    if not target > 0:
-        raise SpecError("target must be positive")
+    if not 0 < target < math.inf:
+        raise SpecError("target must be positive and finite")
     if not (0 < eps < target):
         raise SpecError("eps must lie in (0, target)")
+    # exact on rational schemes: a float target against a half-block value
+    # below the smallest double would divide by zero or overflow
+    exact_target = Fraction(target) if vs.mode == RATIONAL else target
     counter = [0]
     alphabets = []
     left = {1: ((), ())}
@@ -259,11 +265,11 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
         best = None
         for lv, lw in zip(left_vals, left_words):
             # nearest achievable completion to target/lv, checked exactly
-            idx = bisect_right(right_vals, target / lv)
+            idx = bisect_right(right_vals, exact_target / lv)
             for j in (idx - 1, idx):
                 if 0 <= j < len(right_vals):
                     value = lv * right_vals[j]
-                    dist = abs(value - target)
+                    dist = abs(value - exact_target)
                     if dist < eps and (best is None or dist < best[0]):
                         best = (dist, value, lw, right_words[j])
         if best is not None:
@@ -389,15 +395,31 @@ def _derived_seed(seed: int, stream: int) -> int:
     return (seed ^ ((stream + 1) * _GOLDEN)) & _MASK64
 
 
-def _draw_symbol(rng: random.Random, cums, retained) -> int:
-    # smallest i with u*retained < cums[i], by binary search
-    u = rng.random()
-    if is_exact(retained):
-        target = Fraction(u) * retained
-    else:
-        target = u * retained
-    i = bisect_right(cums, target)
-    return min(i, len(cums) - 1)
+def _exact_table(weights, retained) -> tuple:
+    """Integer bisection keys of one rational coordinate, and their query scale.
+
+    ``random()`` returns u = k / 2**53 exactly.  With L the lcm of the
+    weight denominators, C_i = L * cums[i] and retained = R / S,
+    cums[i] <= u * retained exactly when (C_i * S) << 53 <= k * R * L,
+    so bisecting k * R * L in these keys picks the symbol that bisecting
+    u * retained in the cumulative Fractions would.
+    """
+    lcm = math.lcm(*(w.denominator for w in weights))
+    s = retained.denominator
+    keys = [(c * s) << 53 for c in
+            accumulate(w.numerator * (lcm // w.denominator) for w in weights)]
+    return keys, retained.numerator * lcm
+
+
+def _draw_word(rng: random.Random, tables, exact: bool) -> tuple:
+    # per coordinate, the smallest i with u*retained < cums[i] by binary
+    # search, clamped to the alphabet; exact tables take k = u * 2**53
+    word = []
+    for keys, scale in tables:
+        u = rng.random()
+        q = int(u * _TWO53) * scale if exact else u * scale
+        word.append(min(bisect_right(keys, q), len(keys) - 1))
+    return tuple(word)
 
 
 def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
@@ -407,27 +429,33 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
 
     x-words and y-words are drawn independently from the (truncated,
     renormalized) product measure; the recorded ratio uses true weights
-    and is exact in rational mode.  Fully deterministic given the seed:
-    sample i uses a seed derived from (seed, i), so the stream does not
-    depend on evaluation order or parallelism.
+    and is exact in rational mode, where symbols are drawn by integer
+    bisection.  Fully deterministic given the seed: sample i uses a seed
+    derived from (seed, i), so the stream does not depend on evaluation
+    order or parallelism.
     """
     if n_samples < 1:
         raise SpecError("n_samples must be >= 1")
     block = block_for(vs, start, window, delta)
     exact = vs.mode == RATIONAL
-    cums = [list(accumulate(a)) for a in block.alphabets]
+    if exact:
+        tables = [_exact_table(a, r) for a, r in zip(block.alphabets, block.retained)]
+    else:
+        tables = [(list(accumulate(a)), r) for a, r in zip(block.alphabets, block.retained)]
     logs = []
     ratios = [] if exact else None
     moves = []
     for i in range(n_samples):
         rng = random.Random(_derived_seed(seed, i))
-        x = tuple(_draw_symbol(rng, cums[k], block.retained[k])
-                  for k in range(window))
-        y = tuple(_draw_symbol(rng, cums[k], block.retained[k])
-                  for k in range(window))
+        x = _draw_word(rng, tables, exact)
+        y = _draw_word(rng, tables, exact)
         if exact:
-            # log of the reduced exact ratio: 0.0 exactly when D = 1
-            d = cocycle_ratio(block, x, y)
+            # the reduced exact ratio over the changed coordinates; its log
+            # is 0.0 exactly when D = 1
+            d = Fraction(1)
+            for w, a, b in zip(block.alphabets, x, y):
+                if a != b:
+                    d = d * w[b] / w[a]
             ratios.append(d)
             logs.append(_log_of(d))
         else:

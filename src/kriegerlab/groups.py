@@ -82,10 +82,22 @@ def _primitive_root(n: int) -> int:
     return n
 
 
+def _divide_out(n: int, b: int) -> tuple:
+    """(m, e) with n = m * b**e and b not dividing m, by repeated squares of b:
+    about log e divisions instead of e."""
+    if n % b:
+        return n, 0
+    m, e = _divide_out(n // b, b * b)                # n/b = m * b**(2e)
+    if m % b == 0:
+        return m // b, 2 * e + 2
+    return m, 2 * e + 1
+
+
 def _coprime_basis(values) -> list:
     """Pairwise coprime integers > 1, none a perfect power, generating every
     numerator and denominator of the values: a pair a, b with g = gcd(a, b)
-    > 1 is replaced by a/g, g, b/g until no pair shares a factor."""
+    > 1 is replaced by g and what is left of a and b once every power of g
+    is divided out, until no pair shares a factor."""
     todo = [n for x in values for n in (x.numerator, x.denominator) if n > 1]
     basis = []
     while todo:
@@ -94,7 +106,8 @@ def _coprime_basis(values) -> list:
             g = math.gcd(a, b)
             if g > 1:
                 del basis[i]
-                todo.extend(n for n in (a // g, g, b // g) if n > 1)
+                todo.extend(n for n in (_divide_out(a, g)[0], g, _divide_out(b, g)[0])
+                            if n > 1)
                 break
         else:
             basis.append(a)
@@ -107,10 +120,9 @@ def _valuation_vector(x: Fraction, basis) -> dict:
     vectors are, since no basis element is a perfect power."""
     vec = {}
     for b in basis:
-        for n, sign in ((x.numerator, 1), (x.denominator, -1)):
-            while n % b == 0:
-                n //= b
-                vec[b] = vec.get(b, 0) + sign
+        e = _divide_out(x.numerator, b)[1] - _divide_out(x.denominator, b)[1]
+        if e:
+            vec[b] = e
     return vec
 
 

@@ -305,3 +305,21 @@ def test_witness_on_float_mode_spec(capsys):
                            "--target", "0.9", "--eps", "0.05",
                            "--start", "4", "--max-block", "6")
     assert code in (0, 2)
+
+
+def test_report_with_half_block_values_below_the_smallest_double(tmp_path, capsys):
+    # type_one's weights near coordinate 3000 are about 2**-3000: float grid
+    # targets must meet such half-block values in exact arithmetic
+    type_one = json.loads((SPEC_DIR / "type_one.spec").read_text())
+    doc = {"mode": "rational", "classes": [
+        {"indices": {"start": 1, "step": 4},
+         "template": {"kind": "two_point", "lambda": {"form": "const", "value": "1/2"}}},
+        {"indices": {"start": 3, "step": 4},
+         "template": {"kind": "explicit", "weights": ["1/2", "1/2"]}},
+        {"indices": {"start": 2, "step": 2},
+         "template": type_one["classes"][0]["template"]}]}
+    path = tmp_path / "three_classes.spec"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "report", str(path), "--samples", "200",
+                           "--start", "3000")
+    assert code == 0, err

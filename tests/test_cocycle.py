@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 
 from kriegerlab import (
     BlockTooLarge, InsufficientSamples, OverlappingBlocks, SearchBudgetExceeded,
-    SymbolOutOfRange, Witness, WordLengthMismatch, block_for, brute_force_block,
-    cocycle_ratio, compose_witnesses, estimate_ratio_set, lattice_detect,
-    log_cocycle, mc_sample_cocycle, replay_witness, validate, witness_search,
-    witness_search_extremes,
+    SpecError, SymbolOutOfRange, Witness, WordLengthMismatch, block_for,
+    brute_force_block, cocycle_ratio, compose_witnesses, estimate_ratio_set,
+    lattice_detect, log_cocycle, mc_sample_cocycle, replay_witness, validate,
+    witness_search, witness_search_extremes,
 )
-from kriegerlab import normalize
+from kriegerlab import cocycle, normalize
 from kriegerlab.cocycle import _ratio_moves
 
 from conftest import (
@@ -90,6 +91,12 @@ def test_witness_none_in_scope(powers_half):
     res = brute_force_block(powers_half, blk, [F(1, 3)])
     assert res[0]["distance"] == F(1, 12)
 
+
+
+def test_witness_target_must_be_finite(powers_half):
+    # an infinite float target has no exact form to search against
+    with pytest.raises(SpecError, match="finite"):
+        witness_search(powers_half, float("inf"), 0.1)
 
 def test_witness_geometric_symbol_jump():
     vs = validate(geometric_scheme(F(1, 2)))
@@ -308,6 +315,65 @@ def test_export_format(powers_half):
     assert idx == "0"
     float(log_d)
     int(num), int(den)
+
+
+class _FixedDraws:
+    """Stands in for random.Random: random() returns k / 2**53 for each given k."""
+
+    def __init__(self, ks):
+        self._draws = iter(ks)
+
+    def random(self):
+        return next(self._draws) * 2.0 ** -53
+
+
+def _reference_pick(weights, retained, k):
+    # bisection of u * retained in the cumulative Fractions, clamped
+    cums = list(itertools.accumulate(weights))
+    return min(bisect.bisect_right(cums, F(k, 2 ** 53) * retained), len(cums) - 1)
+
+
+@st.composite
+def rational_alphabets(draw):
+    """(weights, retained): truncated geometric tails with retained < 1,
+    explicit alphabets whose retained mass may exceed their sum so that the
+    clamp acts, and dyadic ones whose cumulative boundaries are exact
+    multiples of retained / 2**53."""
+    kind = draw(st.sampled_from(["tail", "explicit", "dyadic"]))
+    if kind == "tail":
+        q = draw(st.fractions(min_value=F(1, 20), max_value=F(9, 10), max_denominator=60))
+        delta = draw(st.fractions(min_value=F(1, 10 ** 6), max_value=F(1, 2),
+                                  max_denominator=10 ** 6))
+        block = block_for(validate(geometric_scheme(q)), 0, 1, delta)
+        return block.alphabets[0], block.retained[0]
+    if kind == "dyadic":
+        counts = draw(st.lists(st.integers(1, 128), min_size=1, max_size=8))
+        counts[-1] += (1 << (sum(counts) - 1).bit_length()) - sum(counts)
+        weights = tuple(F(n, 1024) for n in counts)
+        return weights, sum(weights)
+    weights = draw(st.lists(st.fractions(min_value=F(1, 10 ** 9), max_value=1,
+                                         max_denominator=10 ** 9).filter(lambda w: w > 0),
+                            min_size=1, max_size=8))
+    retained = sum(weights)
+    if draw(st.booleans()):
+        retained *= draw(st.fractions(min_value=1, max_value=2, max_denominator=100))
+    return tuple(weights), retained
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_alphabets(), st.lists(st.integers(0, 2 ** 53 - 1), max_size=20))
+def test_integer_draw_matches_fraction_bisection(alphabet, random_ks):
+    weights, retained = alphabet
+    assert 0 < retained
+    # every k next to or at a cumulative boundary, both ends, random k
+    ks = {0, 2 ** 53 - 1, *random_ks}
+    for c in itertools.accumulate(weights):
+        edge = c * 2 ** 53 // retained
+        ks.update(k for k in (edge - 1, edge, edge + 1) if 0 <= k < 2 ** 53)
+    ks = sorted(ks)
+    table = cocycle._exact_table(weights, retained)
+    picks = cocycle._draw_word(_FixedDraws(ks), [table] * len(ks), exact=True)
+    assert list(picks) == [_reference_pick(weights, retained, k) for k in ks]
 
 
 # ---------------------------------------------------------------------------

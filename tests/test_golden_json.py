@@ -92,6 +92,17 @@ GOLDEN = {
 }
 
 
+# sampling far out at another seed: type_one's and two_inf's weights have
+# about 3000 bits there, and geom_half's truncated tail keeps retained < 1
+WIDE_SAMPLE_ARGS = ["--samples", "200", "--start", "3000", "--seed", "7"]
+
+WIDE_SAMPLE = {
+    "geom_half.spec": (0, "3cd9415d40e0845d4f6d4fa0df39011cfe4089ad3489b02231cc8b4c0bae4131"),
+    "two_inf.spec": (0, "8c86c6e837b3cc638d8c4f4083e54cfed1ffb4ea043258f14ed2bb74aeffc1c6"),
+    "type_one.spec": (0, "b8bc5dcdf2738cf409ac7652228625f96fc8dbc0b40c2de9ae7d6a52daee1a4b"),
+}
+
+
 @pytest.mark.parametrize("spec, command", [
     (spec, command) for spec, digests in GOLDEN.items() for command in digests])
 def test_json_output_pinned(monkeypatch, capsys, spec, command):
@@ -104,3 +115,11 @@ def test_json_output_pinned(monkeypatch, capsys, spec, command):
     code = main(argv)
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[spec][command]
+
+
+@pytest.mark.parametrize("spec", sorted(WIDE_SAMPLE))
+def test_wide_weight_samples_pinned(monkeypatch, capsys, spec):
+    monkeypatch.chdir(SPEC_DIR)
+    code = main(["sample", spec, *WIDE_SAMPLE_ARGS, "--format", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == WIDE_SAMPLE[spec]

@@ -183,6 +183,17 @@ def test_large_semiprime_spec_is_exactly_dense(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+def test_high_prime_power_exponents_are_fast():
+    # powers are divided out by repeated squares, not one factor at a time
+    e = 50_000
+    start = time.perf_counter()
+    g = mult_group([Fraction(1, 2 ** e), Fraction(1, 2 ** (e + 1))])
+    elapsed = time.perf_counter() - start
+    assert (g.kind, g.generator) == ("cyclic", Fraction(1, 2))
+    assert g.evidence == (f"common generator 1/2 with exponents ({e}, {e + 1}), gcd 1",)
+    assert elapsed < 0.5
+
+
 # ---------------------------------------------------------------------------
 # reference: prime valuation vectors by trial division over a known prime
 # list, then Euclid on the exponents
