@@ -22,8 +22,7 @@ from .asymptotics import (
     numeric_series, power_series, summability, union_cluster_report,
 )
 from .groups import (
-    DomainError, GroupStructure, ZeroInSet, commensurable, convergents,
-    mult_group,
+    DomainError, GroupStructure, ZeroInSet, commensurable, mult_group,
 )
 from .classify import (
     BranchError, Certificate, InconclusiveEvidence, TypeVerdict, classify,

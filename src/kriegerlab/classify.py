@@ -101,11 +101,19 @@ def uniformity_defect(weights) -> float:
 
 
 def ratio_defect(weights, c: Num) -> Num:
-    """Sum over ordered pairs of w_i w_j min(|w_i/w_j - 1|**2, C).
+    """Sum over ordered pairs i != j of w_i w_j min((w_i/w_j - 1)**2, C), C > 0.
 
-    Exact when the weights and C are rational.
+    Exact when the weights and C are rational, on plain integers: over
+    the lcm L of the weight denominators, w_i = N_i/L and C = a/b.  A pair
+    is uncapped exactly when b (N_i - N_j)**2 < a N_j**2 (strictly: a pair
+    with (w_i/w_j - 1)**2 == C counts C) and adds N_i (N_i - N_j)**2 / N_j
+    to L**2 times the sum; a capped pair adds C N_i N_j.  The diagonal is
+    uncapped and adds 0.  Float input (or a float C) keeps the pairwise
+    loop and its summation order.
     """
-    total = Fraction(0) if all(is_exact(w) for w in weights) and is_exact(c) else 0.0
+    if all(is_exact(w) for w in weights) and is_exact(c):
+        return _ratio_defect_exact([Fraction(w) for w in weights], Fraction(c))
+    total = 0.0
     for i, wi in enumerate(weights):
         for j, wj in enumerate(weights):
             if i == j:
@@ -114,6 +122,28 @@ def ratio_defect(weights, c: Num) -> Num:
             d2 = d * d
             total += wi * wj * (d2 if d2 < c else c)
     return total
+
+
+def _ratio_defect_exact(weights, c: Fraction) -> Fraction:
+    lcm = math.lcm(*(w.denominator for w in weights))
+    ns = [w.numerator * (lcm // w.denominator) for w in weights]
+    a, b = c.numerator, c.denominator
+    uncapped = []               # (sum over uncapped i of N_i (N_i - N_j)**2, N_j)
+    capped = 0                  # sum over capped pairs of N_i N_j
+    for nj in ns:
+        bound = a * nj * nj
+        s = t = 0
+        for ni in ns:
+            d2 = (ni - nj) * (ni - nj)
+            if b * d2 < bound:
+                s += ni * d2
+            else:
+                t += ni
+        uncapped.append((s, nj))
+        capped += t * nj
+    den = math.lcm(*(nj for _, nj in uncapped))
+    num = sum(s * (den // nj) for s, nj in uncapped)
+    return Fraction(b * num + a * den * capped, b * den * lcm * lcm)
 
 
 def _two_point_weights(lam: Num):
@@ -284,14 +314,19 @@ def _ratio_defect_geometric_tail(tpl: GeometricTail, c: Num, mode: str) -> Num:
 
     All pair contributions are non-negative, so the truncated double sum
     is a rigorous lower bound; it is positive from two symbols on, which
-    is what the divergence verdict needs.
+    is what the divergence verdict needs.  Rational tails grow by
+    w_{i+1} = w_i q; float tails take each weight from ``tpl.weight``,
+    whose rounding the printed value depends on.
     """
+    total = tpl.total()
     weights = []
     mass = Fraction(0) if mode == RATIONAL else 0.0
     i = 0
     while float(mass) < 1 - 1e-9 and i < 200:
-        w = tpl.weight(i)
-        w = _div(w, tpl.total())
+        if mode == RATIONAL and i >= len(tpl.base):
+            w = weights[-1] * tpl.ratio
+        else:
+            w = _div(tpl.weight(i), total)
         weights.append(w if mode == RATIONAL else float(w))
         mass += weights[-1]
         i += 1

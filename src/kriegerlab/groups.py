@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional
-
-import mpmath
 
 from .exact import Num, format_scalar, is_exact
 
@@ -70,16 +69,34 @@ def _primitive_root(n: int) -> int:
     """r with n = r**k for the largest possible k."""
     k = 2
     while k <= n.bit_length():
-        r = 1 << -(-n.bit_length() // k)             # r**k > n
-        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-            r = s                                    # Newton: r -> floor root of n
-        if r ** k == n:
+        if (r := _exact_root(n, k)) is not None:
             n = r
         else:                                        # next prime k
             k += 1
             while any(k % d == 0 for d in range(2, math.isqrt(k) + 1)):
                 k += 1
     return n
+
+
+def _exact_root(n: int, k: int) -> Optional[int]:
+    """r with r**k == n, or None.
+
+    The float estimate 2**e of the root, e = log2(n)/k, is off by a
+    relative error of about e * 2**-52.  For a root below 2**32 that is
+    under 0.01 in absolute terms, so the nearest integer is the only
+    candidate; above, Newton descends from the estimate raised by a
+    margin of e * 2**-50.
+    """
+    e = math.log2(n) / k
+    if e < 32:
+        x = 2.0 ** e
+        r = round(x)
+        return r if abs(x - r) < 0.01 and r ** k == n else None
+    s = max(0, int(e) - 52)                          # 2**(e - s) < 2**54
+    r = (int(2.0 ** (e - s) * (1 + e * 2.0 ** -50)) + 1) << s
+    while (t := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = t                                        # Newton: r -> floor root of n
+    return r if r ** k == n else None
 
 
 def _divide_out(n: int, b: int) -> tuple:
@@ -180,10 +197,18 @@ def convergents(x: float, max_denominator: int):
 def _verify_power_equation(a: Num, b: Num, p: int, q: int, rel_tol: float = 1e-12) -> bool:
     """Check a**q = b**p to rel_tol (float path)."""
     if max(p, q) > 64:
-        with mpmath.workdps(60):
-            err = q * mpmath.log(a) - p * mpmath.log(b)
-            return abs(err) <= rel_tol
+        with localcontext() as ctx:
+            ctx.prec = 60
+            err = q * _ln(a) - p * _ln(b)
+        return abs(err) <= rel_tol
     return abs(q * math.log(a) - p * math.log(b)) <= rel_tol
+
+
+def _ln(x: Num) -> Decimal:
+    """ln x in the current decimal context, from the exact value of a float
+    or Fraction."""
+    x = Fraction(x)
+    return (Decimal(x.numerator) / x.denominator).ln()
 
 
 def commensurable(a: Num, b: Num,

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kriegerlab import (
     BranchError, CappedGeometric, Deviation, ExplicitWeights, GeometricTail,
@@ -63,6 +65,42 @@ def test_type_III_constant_term_exact():
     assert t > 0
     v = type_III_series(validate(powers(F(1, 2))), F(1))
     assert v.divergent
+
+
+def _pairwise_ratio_defect(weights, c):
+    """sum over i != j of w_i w_j min((w_i/w_j - 1)**2, C), pair by pair."""
+    total = F(0)
+    for i, wi in enumerate(weights):
+        for j, wj in enumerate(weights):
+            if i != j:
+                total += wi * wj * min((F(wi) / wj - 1) ** 2, c)
+    return total
+
+
+# small numerators repeat weights and hit the cap boundary d**2 == C:
+# 2:1 at C = 1, 3:2 and 1:2 at C = 1/4, 5:2 at C = 9/4
+weight_values = st.one_of(st.integers(1, 12),
+                          st.builds(F, st.integers(1, 12), st.integers(1, 6)))
+caps = st.one_of(st.sampled_from((F(1), F(1, 4), F(9, 4))),
+                 st.builds(F, st.integers(1, 40), st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(weight_values, min_size=1, max_size=9), caps)
+def test_exact_ratio_defect_matches_pairwise_sum(weights, c):
+    value = ratio_defect(tuple(weights), c)
+    assert isinstance(value, F)
+    assert value == _pairwise_ratio_defect(weights, c)
+
+
+@pytest.mark.parametrize("weights, c, expected", [
+    ((F(1, 2),), F(1), 0),
+    ((2, 1), F(1), 2 * 1 + 2 * F(1, 4)),                 # 2:1 sits on the cap
+    ((F(2, 3), F(1, 3)), F(1, 4), F(2, 9) * (F(1, 4) + F(1, 4))),
+    ((5, 2, 5), F(9, 4), 2 * 10 * F(9, 4) + 2 * 10 * F(9, 25)),
+])
+def test_exact_ratio_defect_on_the_cap_boundary(weights, c, expected):
+    assert ratio_defect(weights, c) == expected
 
 
 def test_type_III_uniform_is_summable_zero():

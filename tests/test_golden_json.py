@@ -6,6 +6,7 @@ one of these sha256 digests of stdout (or the exit code) and must say so.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -123,3 +124,38 @@ def test_wide_weight_samples_pinned(monkeypatch, capsys, spec):
     code = main(["sample", spec, *WIDE_SAMPLE_ARGS, "--format", "json"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == WIDE_SAMPLE[spec]
+
+
+def _tail_spec(base, ratio, prefix=(), mode="rational"):
+    return {"mode": mode, "prefix": [list(vec) for vec in prefix],
+            "classes": [{"indices": {"start": len(prefix) + 1, "step": 1},
+                         "template": {"kind": "geometric_tail", "base": list(base),
+                                      "ratio": ratio}}]}
+
+
+# geometric tails whose type-III value is the truncated pairwise sum
+# over up to 200 symbols: exact at four ratios, and one float-mode tail
+# that pins the float summation order
+TAIL_SPECS = {
+    "tail_2_3": (_tail_spec(["1", "3/5"], "2/3", [["2/3", "1/3"]]),
+                 "a8e6549b70dd8854a7bd7ad39c4330c420aad9f1f4c9734e355afb7541960ab2"),
+    "tail_3_4": (_tail_spec(["1", "2/7"], "3/4", [["1/2", "1/4", "1/4"]]),
+                 "49319c20b8e431b2c89d271cf28609178cca516189245c1028e3fcdbb90d99b8"),
+    "tail_4_5": (_tail_spec(["1", "5/11"], "4/5", [["3/5", "2/5"], ["1/3", "1/3", "1/3"]]),
+                 "2b97d7a77580219e861f6cf9760657e8df47404063ae4d942c5574deb797fed2"),
+    "tail_5_7": (_tail_spec(["1", "7/13"], "5/7", [["5/6", "1/6"]]),
+                 "4408e51ea7947947ee20ebf201b938846712ba0441971e0ca532dd61b5b02ce0"),
+    "tail_float": (_tail_spec([0.2], 0.8, mode="float"),
+                   "16edb1260ee93e35679e78df6bc2b6ab1e021ed7f4a492aa10aae7cbe498ff28"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_SPECS))
+def test_geometric_tail_classify_pinned(monkeypatch, capsys, tmp_path, name):
+    doc, digest = TAIL_SPECS[name]
+    (tmp_path / f"{name}.spec").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                                           encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code = main(["classify", f"{name}.spec", "--format", "json"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

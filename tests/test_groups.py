@@ -1,15 +1,18 @@
 import json
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import DomainError, ZeroInSet, commensurable, format_scalar, mult_group
 from kriegerlab.cli import main
+from kriegerlab.groups import _primitive_root, _verify_power_equation
 
 from conftest import SPEC_DIR
 
@@ -79,6 +82,41 @@ def test_domain_errors():
 def test_float_path_agrees_on_easy_pairs():
     assert commensurable(0.25, 0.5) == (2, 1)
     assert commensurable(0.5, 1 / 3) is None
+
+
+# convergents with max(p, q) > 64 are verified in 60-digit decimal logs
+
+def test_wide_convergent_is_verified_at_high_precision():
+    assert commensurable(2.0 ** -67, 2.0 ** -65) == (67, 65)
+    assert commensurable(F(1, 2 ** 67), 2.0 ** -65) == (67, 65)
+    assert commensurable(2.0 ** -67 * (1 + 1e-11), 2.0 ** -65) is None
+
+
+def _mpmath_power_equation(a, b, p, q, rel_tol=1e-12):
+    with mpmath.workdps(60):
+        err = q * mpmath.log(mpmath.mpf(a)) - p * mpmath.log(mpmath.mpf(b))
+        return abs(err) <= rel_tol
+
+
+def test_power_equation_matches_mpmath_near_the_tolerance():
+    # a = b**(p/q) * (1 + delta) puts |q log a - p log b| within a factor
+    # of five of the 1e-12 tolerance, on both sides
+    rng = random.Random(20251)
+    outcomes = []
+    for _ in range(400):
+        q = rng.randint(65, 5000)
+        p = rng.randint(1, 5000)
+        b = rng.uniform(0.05, 0.95)
+        delta = rng.choice((-1, 1)) * rng.uniform(0.2, 5.0) * 1e-12 / q
+        a = b ** (p / q) * (1 + delta)
+        if rng.random() < 0.5:
+            p, q = q, p
+            a, b = b, a
+        expected = _mpmath_power_equation(a, b, p, q)
+        assert _verify_power_equation(a, b, p, q) == expected
+        assert _verify_power_equation(F(a), b, p, q) == expected
+        outcomes.append(expected)
+    assert 50 < sum(outcomes) < 350
 
 
 def test_mixed_prime_support_is_exactly_dense():
@@ -192,6 +230,42 @@ def test_high_prime_power_exponents_are_fast():
     assert (g.kind, g.generator) == ("cyclic", Fraction(1, 2))
     assert g.evidence == (f"common generator 1/2 with exponents ({e}, {e + 1}), gcd 1",)
     assert elapsed < 0.5
+
+
+def test_wide_non_power_has_a_fast_primitive_root():
+    # every prime k up to the bit length is tried: each costs a float
+    # estimate, and Newton only where the root is wide
+    n = 2 * 3 ** 10000
+    start = time.perf_counter()
+    assert _primitive_root(n) == n
+    assert time.perf_counter() - start < 0.5
+
+
+def _reference_primitive_root(n: int) -> int:
+    """Newton from 1 << ceil(bits / k) at every prime k up to the bit length."""
+    k = 2
+    while k <= n.bit_length():
+        r = 1 << -(-n.bit_length() // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r ** k == n:
+            n = r
+        else:
+            k += 1
+            while any(k % d == 0 for d in range(2, math.isqrt(k) + 1)):
+                k += 1
+    return n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(2, 10 ** 6), st.integers(2 ** 31, 2 ** 33),
+                 st.integers(2 ** 51, 2 ** 54)),
+       st.integers(1, 24), st.sampled_from((0, 0, 1, -1, 2)))
+def test_primitive_root_matches_reference(r, k, offset):
+    # perfect powers r**k (r itself may be one) and their near misses, with
+    # roots next to 2**32, where the estimate changes method, and 2**52
+    n = r ** k + offset
+    assert _primitive_root(n) == _reference_primitive_root(n)
 
 
 # ---------------------------------------------------------------------------
