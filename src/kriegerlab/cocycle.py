@@ -181,6 +181,13 @@ def replay_witness(vs: ValidatedScheme, w: Witness) -> Num:
 
 # ---------------------------------------------------------------------------
 # achievable-value enumeration
+#
+# On rational schemes a coordinate's ratios are integers over a common
+# scale (see _moves), so a block value is an integer key A over the
+# product S of its coordinates' scales: D = A / S.  For one block S is
+# fixed, so distinct keys are exactly the distinct values, and every
+# comparison with a target is one in integers.  Float schemes keep float
+# values, with scale 1.
 
 def _ratio_moves(weights) -> list:
     """Distinct ratios w[j]/w[i], increasing, each with its first (i, j).
@@ -198,13 +205,41 @@ def _ratio_moves(weights) -> list:
     return sorted(out.items())
 
 
-def _extend(values: dict, weights, state_cap: int, counter: list) -> dict:
-    """Extend achievable values by one coordinate of weights ``weights``.
+def _numerators(weights) -> tuple:
+    """(L, N): L the lcm of the weight denominators and N[i] = L * weights[i]."""
+    lcm = math.lcm(*(w.denominator for w in weights))
+    return lcm, [w.numerator * (lcm // w.denominator) for w in weights]
 
-    Keeps the first word pair per exact value; ``counter`` accumulates
+
+def _moves(weights) -> tuple:
+    """(scale, moves): the moves of :func:`_ratio_moves` as integers over scale.
+
+    Over a common denominator the distinct weights have numerators N, and
+    w[j]/w[i] = N[j]/N[i] = N[j] * (scale // N[i]) / scale with scale =
+    lcm(N).  Equal ratios give equal integers, so the moves, their pairs
+    and their order are those of :func:`_ratio_moves`.  Float weights
+    keep their float ratios over scale 1.
+    """
+    if not is_exact(weights[0]):
+        return 1, _ratio_moves(weights)
+    first = {}
+    for i, w in enumerate(weights):
+        first.setdefault(w, i)
+    _, nums = _numerators(list(first))
+    scale = math.lcm(*nums)
+    out = {}
+    for ni, i in zip(nums, first.values()):
+        for nj, j in zip(nums, first.values()):
+            out.setdefault(nj * (scale // ni), (i, j))
+    return scale, sorted(out.items())
+
+
+def _extend(values: dict, moves: list, state_cap: int, counter: list) -> dict:
+    """Extend achievable values by one coordinate's ``moves`` (see :func:`_moves`).
+
+    Keeps the first word pair per value; ``counter`` accumulates
     enumerated states against the cap.
     """
-    moves = _ratio_moves(weights)
     counter[0] += len(values) * len(moves)
     if counter[0] > state_cap:
         raise SearchBudgetExceeded(
@@ -218,15 +253,36 @@ def _extend(values: dict, weights, state_cap: int, counter: list) -> dict:
     return nxt
 
 
-def _product_values(alphabets, state_cap: int, counter: list) -> dict:
+def _product_values(coordinate_moves, state_cap: int, counter: list) -> dict:
     """All achievable block values with one representative word pair each.
 
-    Starts from the int 1, which keeps the weights' own arithmetic type.
+    Keys are over the product of the coordinates' scales; starts from the
+    int 1, which keeps the moves' own arithmetic type.
     """
     values = {1: ((), ())}
-    for weights in alphabets:
-        values = _extend(values, weights, state_cap, counter)
+    for moves in coordinate_moves:
+        values = _extend(values, moves, state_cap, counter)
     return values
+
+
+def _closest(left, right, query, gap, close):
+    """The (gap, value, left words, right words) of smallest gap that is close.
+
+    ``left`` and ``right`` are sorted (values, words) pairs; for each left
+    value a the right values next to query(a) are tried, with value the
+    product of the two.  Ties keep the first pair found.
+    """
+    best = None
+    right_vals, right_words = right
+    for a, lw in zip(*left):
+        idx = bisect_right(right_vals, query(a))
+        for j in (idx - 1, idx):
+            if 0 <= j < len(right_vals):
+                value = a * right_vals[j]
+                g = gap(value)
+                if close(g) and (best is None or g < best[0]):
+                    best = (g, value, lw, right_words[j])
+    return best
 
 
 def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
@@ -241,41 +297,50 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     on the smallest block length admitting one, or None: a bounded-scope
     statement over (max_block, delta, state_cap), the cap counting the
     states of this call, not a proof that the target is unreachable.
+
+    On rational schemes values are integer keys over the block's scale S
+    and target = tn/td, eps = en/ed (exactly, also when passed as
+    floats): a left key A is completed by the right keys B next to
+    (tn*S) // (td*A), and a pair is within eps when
+    |A*B*td - tn*S| * ed < en * td * S.
     """
     if not 0 < target < math.inf:
         raise SpecError("target must be positive and finite")
     if not (0 < eps < target):
         raise SpecError("eps must lie in (0, target)")
-    # exact on rational schemes: a float target against a half-block value
-    # below the smallest double would divide by zero or overflow
-    exact_target = Fraction(target) if vs.mode == RATIONAL else target
+    exact = vs.mode == RATIONAL
+    if exact:
+        tn, td = Fraction(target).as_integer_ratio()
+        en, ed = Fraction(eps).as_integer_ratio()
     counter = [0]
-    alphabets = []
+    moves = []
+    scale = 1
     left = {1: ((), ())}
     for length in range(1, max_block + 1):
-        alphabets.append(truncate_alphabet(vs, start + length, delta).weights)
+        s, m = _moves(truncate_alphabet(vs, start + length, delta).weights)
+        moves.append(m)
+        scale *= s
         mid = (length + 1) // 2
         if length % 2:
-            left = _extend(left, alphabets[mid - 1], state_cap, counter)
-            left_vals, left_words = zip(*sorted(left.items()))
-            right = _product_values(alphabets[mid:], state_cap, counter)
+            left = _extend(left, moves[mid - 1], state_cap, counter)
+            left_sorted = tuple(zip(*sorted(left.items())))
+            right = _product_values(moves[mid:], state_cap, counter)
         else:
-            right = _extend(right, alphabets[-1], state_cap, counter)
-        right_vals, right_words = zip(*sorted(right.items()))
-        best = None
-        for lv, lw in zip(left_vals, left_words):
-            # nearest achievable completion to target/lv, checked exactly
-            idx = bisect_right(right_vals, exact_target / lv)
-            for j in (idx - 1, idx):
-                if 0 <= j < len(right_vals):
-                    value = lv * right_vals[j]
-                    dist = abs(value - exact_target)
-                    if dist < eps and (best is None or dist < best[0]):
-                        best = (dist, value, lw, right_words[j])
+            right = _extend(right, moves[-1], state_cap, counter)
+        right_sorted = tuple(zip(*sorted(right.items())))
+        if exact:
+            t_s, bound = tn * scale, en * td * scale
+            best = _closest(left_sorted, right_sorted, lambda a: t_s // (td * a),
+                            lambda v: abs(v * td - t_s), lambda g: g * ed < bound)
+        else:
+            best = _closest(left_sorted, right_sorted, lambda a: target / a,
+                            lambda v: abs(v - target), lambda g: g < eps)
         if best is not None:
             _, value, lw, rw = best
             return Witness(tuple(range(start + 1, start + length + 1)),
-                           lw[0] + rw[0], lw[1] + rw[1], value, target, eps, delta)
+                           lw[0] + rw[0], lw[1] + rw[1],
+                           Fraction(value, scale) if exact else value,
+                           target, eps, delta)
     return None
 
 
@@ -289,30 +354,37 @@ def witness_search_extremes(vs: ValidatedScheme, eps: Num,
     target ratio it hunts for achievable values next to 0 or next to 1
     through a genuinely changed word.  The returned witness carries
     target 0 or 1, whichever band was hit.  None is scope-bounded, as
-    in :func:`witness_search`.
+    in :func:`witness_search`.  On rational schemes the scores are
+    integer keys over the block's scale, as there.
     """
     if not (0 < eps < 1):
         raise SpecError("eps must lie in (0, 1)")
+    exact = vs.mode == RATIONAL
+    if exact:
+        en, ed = Fraction(eps).as_integer_ratio()
     counter = [0]
     values = {1: ((), ())}
+    scale = 1
     for length in range(1, max_block + 1):
         coords = tuple(range(start + 1, start + length + 1))
-        weights = truncate_alphabet(vs, coords[-1], delta).weights
-        values = _extend(values, weights, state_cap, counter)
+        s, moves = _moves(truncate_alphabet(vs, coords[-1], delta).weights)
+        scale *= s
+        values = _extend(values, moves, state_cap, counter)
+        one = scale if exact else 1
         best = None
         for v, (xw, yw) in values.items():
             if xw == yw:
                 continue
-            score = min(abs(v - 1), abs(v))
-            if score < eps and (best is None or score < best[0]):
-                near_one = abs(v - 1) <= abs(v)
-                if is_exact(v):
-                    target = Fraction(1) if near_one else Fraction(0)
-                else:
-                    target = 1.0 if near_one else 0.0
-                best = (score, v, xw, yw, target)
+            score = min(abs(v - one), abs(v))
+            if (score * ed < en * scale if exact else score < eps) \
+                    and (best is None or score < best[0]):
+                best = (score, v, xw, yw, abs(v - one) <= abs(v))
         if best is not None:
-            _, v, xw, yw, target = best
+            _, v, xw, yw, near_one = best
+            if exact:
+                v, target = Fraction(v, scale), Fraction(int(near_one))
+            else:
+                target = 1.0 if near_one else 0.0
             return Witness(coords, xw, yw, v, target, eps, delta)
     return None
 
@@ -324,21 +396,36 @@ def brute_force_block(vs: ValidatedScheme, block: Block, targets: Iterable[Num],
     Serves as the independence oracle for :func:`witness_search`: a
     direct product enumeration of every achievable value (deduplicated
     exactly), then a linear scan.  Raises BlockTooLarge beyond the
-    state cap.
+    state cap.  On rational blocks an exact target t = tn/td is at
+    distance |tn*S - A*td| / (td*S) from the key A over the block's
+    scale S; a float target, as in float arithmetic, at |t - A/S|.
     """
     counter = [0]
+    per_coordinate = [_moves(weights) for weights in block.alphabets]
+    scale = math.prod(s for s, _ in per_coordinate)
     try:
-        values = _product_values(block.alphabets, state_cap, counter)
+        values = _product_values([m for _, m in per_coordinate], state_cap, counter)
     except SearchBudgetExceeded as exc:
         raise BlockTooLarge(str(exc)) from None
+    exact = vs.mode == RATIONAL
     out = []
     for t in targets:
+        if exact and is_exact(t):
+            tn, td = Fraction(t).as_integer_ratio()
+            t_s = tn * scale
+            gap = lambda v: abs(t_s - v * td)
+        elif exact:
+            gap = lambda v: abs(t - v / scale)
+        else:
+            gap = lambda v: abs(t - v)
         best = None
         best_pair = None
         for v, pair in values.items():
-            d = abs(t - v)
+            d = gap(v)
             if best is None or d < best:
                 best, best_pair = d, pair
+        if exact and is_exact(t):
+            best = Fraction(best, td * scale)
         out.append({"target": t, "distance": best,
                     "x": best_pair[0], "y": best_pair[1]})
     return out
@@ -404,10 +491,9 @@ def _exact_table(weights, retained) -> tuple:
     so bisecting k * R * L in these keys picks the symbol that bisecting
     u * retained in the cumulative Fractions would.
     """
-    lcm = math.lcm(*(w.denominator for w in weights))
+    lcm, nums = _numerators(weights)
     s = retained.denominator
-    keys = [(c * s) << 53 for c in
-            accumulate(w.numerator * (lcm // w.denominator) for w in weights)]
+    keys = [(c * s) << 53 for c in accumulate(nums)]
     return keys, retained.numerator * lcm
 
 
@@ -440,6 +526,8 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
     exact = vs.mode == RATIONAL
     if exact:
         tables = [_exact_table(a, r) for a, r in zip(block.alphabets, block.retained)]
+        # w[b]/w[a] = N[b]/N[a] over each coordinate's common denominator
+        nums = [_numerators(a)[1] for a in block.alphabets]
     else:
         tables = [(list(accumulate(a)), r) for a, r in zip(block.alphabets, block.retained)]
     logs = []
@@ -452,10 +540,12 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
         if exact:
             # the reduced exact ratio over the changed coordinates; its log
             # is 0.0 exactly when D = 1
-            d = Fraction(1)
-            for w, a, b in zip(block.alphabets, x, y):
+            num = den = 1
+            for n, a, b in zip(nums, x, y):
                 if a != b:
-                    d = d * w[b] / w[a]
+                    num *= n[b]
+                    den *= n[a]
+            d = Fraction(num, den)
             ratios.append(d)
             logs.append(_log_of(d))
         else:

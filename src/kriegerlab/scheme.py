@@ -596,8 +596,10 @@ class CappedGeometric:
     def weights_at(self, n: int, pos: int, mode: str) -> tuple:
         size = self.alphabet_size(pos)
         total = self._norm(size)
-        return tuple(as_mode(_div(self.ratio ** min(i, self.cap), total), mode)
-                     for i in range(size))
+        # symbols from cap on share the weight ratio**cap / total
+        head = [as_mode(_div(self.ratio ** i, total), mode)
+                for i in range(min(size, self.cap + 1))]
+        return tuple(head) + (head[-1],) * (size - len(head))
 
     def ratio_limit(self, i: int) -> Num:
         return self.ratio ** min(i, self.cap)

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import (
-    BlockTooLarge, InsufficientSamples, OverlappingBlocks, SearchBudgetExceeded,
-    SpecError, SymbolOutOfRange, Witness, WordLengthMismatch, block_for,
-    brute_force_block, cocycle_ratio, compose_witnesses, estimate_ratio_set,
-    lattice_detect, log_cocycle, mc_sample_cocycle, replay_witness, validate,
-    witness_search, witness_search_extremes,
+    BlockTooLarge, ExplicitWeights, InsufficientSamples, OverlappingBlocks,
+    SearchBudgetExceeded, SpecError, SymbolOutOfRange, Witness, WordLengthMismatch,
+    block_for, brute_force_block, cocycle_ratio, compose_witnesses, estimate_ratio_set,
+    lattice_detect, log_cocycle, mc_sample_cocycle, replay_witness, truncate_alphabet,
+    validate, witness_search, witness_search_extremes,
 )
 from kriegerlab import cocycle, normalize
-from kriegerlab.cocycle import _ratio_moves
+from kriegerlab.cocycle import _moves, _ratio_moves
 
 from conftest import (
-    F, capped_scheme, geometric_scheme, interleave, powers, uniform_two_point,
+    F, capped_scheme, geometric_scheme, interleave, powers, single_class, type_one_spec,
+    uniform_two_point,
 )
 
 LOG2 = math.log(2.0)
@@ -202,6 +203,182 @@ def test_ratio_moves_capped_geometric_alphabet(mode):
         weights = tuple(float(w) for w in weights)
     _check_ratio_moves(weights)
     assert len(_ratio_moves(weights)) == 7
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_moves_match_fraction_moves(data):
+    # the same ratios as integers over the scale, pairs and order unchanged
+    pool = data.draw(st.lists(st.fractions(min_value=F(1, 10 ** 6), max_value=1,
+                                           max_denominator=10 ** 6).filter(lambda w: w > 0),
+                              min_size=1, max_size=5, unique=True))
+    weights = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    scale, moves = _moves(weights)
+    assert [(F(m, scale), pair) for m, pair in moves] == _ratio_moves(weights)
+    floats = [float(w) for w in weights]
+    assert _moves(floats) == (1, _ratio_moves(floats))
+
+
+def _fraction_search(vs, target, eps, start=0, max_block=8, delta=F(1, 1000),
+                     state_cap=10 ** 8):
+    """witness_search with Fraction values throughout: the loop that the
+    integer keys replace, kept as the reference."""
+    t = F(target)
+    counter = [0]
+
+    def extend(values, weights):
+        moves = _ratio_moves(weights)
+        counter[0] += len(values) * len(moves)
+        if counter[0] > state_cap:
+            raise SearchBudgetExceeded(f"enumeration exceeded the state cap of {state_cap}")
+        nxt = {}
+        for value, (xw, yw) in values.items():
+            for r, (i, j) in moves:
+                if value * r not in nxt:
+                    nxt[value * r] = (xw + (i,), yw + (j,))
+        return nxt
+
+    alphabets = []
+    left = {F(1): ((), ())}
+    for length in range(1, max_block + 1):
+        alphabets.append(truncate_alphabet(vs, start + length, delta).weights)
+        mid = (length + 1) // 2
+        if length % 2:
+            left = extend(left, alphabets[mid - 1])
+            right = {F(1): ((), ())}
+            for weights in alphabets[mid:]:
+                right = extend(right, weights)
+        else:
+            right = extend(right, alphabets[-1])
+        right_vals, right_words = zip(*sorted(right.items()))
+        best = None
+        for lv, lw in sorted(left.items()):
+            idx = bisect.bisect_right(right_vals, t / lv)
+            for j in (idx - 1, idx):
+                if 0 <= j < len(right_vals):
+                    value = lv * right_vals[j]
+                    dist = abs(value - t)
+                    if dist < eps and (best is None or dist < best[0]):
+                        best = (dist, value, lw, right_words[j])
+        if best is not None:
+            _, value, lw, rw = best
+            return Witness(tuple(range(start + 1, start + length + 1)),
+                           lw[0] + rw[0], lw[1] + rw[1], value, target, eps, delta)
+    return None
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except SearchBudgetExceeded as exc:
+        return str(exc)
+
+
+RATIONAL_SCHEMES = {
+    "powers_2_3": lambda: powers(F(2, 3)),
+    "interleave_2_7": lambda: interleave(F(1, 2), F(2, 7)),
+    "explicit_7532": lambda: single_class(ExplicitWeights(
+        (F(7, 17), F(5, 17), F(3, 17), F(2, 17)))),
+    "geometric_2_5": lambda: geometric_scheme(F(2, 5)),
+    "capped_1_3": lambda: capped_scheme(F(1, 3), 2),
+    "type_one": type_one_spec,
+}
+
+
+@st.composite
+def search_inputs(draw):
+    """(scheme, target, eps, start, max_block, state_cap); targets either
+    random or next to a value that a random word pair achieves."""
+    vs = validate(normalize_spec(RATIONAL_SCHEMES[draw(st.sampled_from(sorted(RATIONAL_SCHEMES)))]()))
+    start = draw(st.integers(0, 12))
+    max_block = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        target = draw(st.fractions(min_value=F(1, 50), max_value=5, max_denominator=10 ** 4))
+    else:
+        blk = block_for(vs, start, max_block)
+        x, y = ([draw(st.integers(0, size - 1)) for size in blk.sizes()] for _ in range(2))
+        offset = F(draw(st.integers(-999, 999)), 10 ** draw(st.integers(3, 12)))
+        target = cocycle_ratio(blk, x, y) * (1 + offset)
+    eps = target * F(draw(st.integers(1, 99)), 100 * 10 ** draw(st.integers(0, 10)))
+    if draw(st.booleans()):
+        target = float(target)
+    if draw(st.booleans()):
+        eps = float(eps)
+    state_cap = draw(st.sampled_from([10 ** 8, 10 ** 8, 40, 300]))
+    return vs, target, eps, start, max_block, state_cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_inputs())
+def test_integer_search_matches_fraction_search(inputs):
+    vs, target, eps, start, max_block, state_cap = inputs
+    if not 0 < eps < target:
+        return
+    args = (vs, target, eps)
+    kwargs = {"start": start, "max_block": max_block, "state_cap": state_cap}
+    assert _outcome(witness_search, *args, **kwargs) == _outcome(_fraction_search, *args, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL_SCHEMES))
+def test_eps_at_oracle_distance_finds_nothing(name):
+    # the distance is strict: eps equal to the block's minimum distance
+    # finds no witness on that block or on any shorter one
+    vs = validate(normalize_spec(RATIONAL_SCHEMES[name]()))
+    target = F(1000, 1013)
+    dist = brute_force_block(vs, block_for(vs, 3, 4), [target])[0]["distance"]
+    assert witness_search(vs, target, dist, start=3, max_block=4) is None
+    assert _fraction_search(vs, target, dist, start=3, max_block=4) is None
+    above = dist + F(1, 10 ** 15)
+    w = witness_search(vs, target, above, start=3, max_block=4)
+    assert w is not None
+    assert w == _fraction_search(vs, target, above, start=3, max_block=4)
+
+
+def test_search_budget_message_matches_reference():
+    vs = validate(normalize_spec(RATIONAL_SCHEMES["explicit_7532"]()))
+    with pytest.raises(SearchBudgetExceeded) as caught:
+        witness_search(vs, F(1000, 1013), F(1, 10 ** 12), max_block=6, state_cap=500)
+    assert str(caught.value) == _outcome(_fraction_search, vs, F(1000, 1013), F(1, 10 ** 12),
+                                         max_block=6, state_cap=500)
+    assert str(caught.value) == "enumeration exceeded the state cap of 500"
+
+
+def _fraction_oracle(block, targets):
+    # every achievable Fraction value, then a linear scan of |t - v|
+    values = {F(1): ((), ())}
+    for weights in block.alphabets:
+        nxt = {}
+        for value, (xw, yw) in values.items():
+            for r, (i, j) in _ratio_moves(weights):
+                if value * r not in nxt:
+                    nxt[value * r] = (xw + (i,), yw + (j,))
+        values = nxt
+    out = []
+    for t in targets:
+        best = best_pair = None
+        for v, pair in values.items():
+            d = abs(t - v)
+            if best is None or d < best:
+                best, best_pair = d, pair
+        out.append({"target": t, "distance": best, "x": best_pair[0], "y": best_pair[1]})
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(RATIONAL_SCHEMES)), st.integers(0, 12), st.integers(1, 4),
+       st.lists(st.fractions(min_value=F(1, 100), max_value=10, max_denominator=10 ** 5),
+                min_size=1, max_size=4),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+def test_oracle_matches_fraction_scan(name, start, length, targets, as_float):
+    # float targets keep their float distances
+    vs = validate(normalize_spec(RATIONAL_SCHEMES[name]()))
+    targets = [float(t) if f else t for t, f in zip(targets, as_float)]
+    blk = block_for(vs, start, length)
+    got = brute_force_block(vs, blk, targets)
+    want = _fraction_oracle(blk, targets)
+    assert got == want
+    assert [type(r["distance"]) for r in got] == [type(r["distance"]) for r in want]
+    assert [type(r["distance"]) for r in got] == [float if f else F for f in as_float[:len(targets)]]
 
 
 def test_block_too_large_guard():

@@ -10,9 +10,12 @@ import json
 
 import pytest
 
+from kriegerlab import (
+    FactorSpec, factor_to_scheme, load_spec, normalize, validate, witness_search_extremes,
+)
 from kriegerlab.cli import main
 
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, F
 
 ARGS = {
     "classify": [],
@@ -159,3 +162,107 @@ def test_geometric_tail_classify_pinned(monkeypatch, capsys, tmp_path, name):
     code = main(["classify", f"{name}.spec", "--format", "json"])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+def _classes_doc(*templates):
+    # one class per template, interleaved over the coordinates
+    return {"mode": "rational", "prefix": [],
+            "classes": [{"indices": {"start": 1 + k, "step": len(templates)}, "template": t}
+                        for k, t in enumerate(templates)]}
+
+
+def _const(lam):
+    return {"kind": "two_point", "lambda": {"form": "const", "value": lam}}
+
+
+# the exact witness search through whole scopes: ratio groups of rank 4
+# (explicit weights 7, 5, 3, 2 over 17), 3 (lambda 1/2, 1/3 and 2/5 on
+# three classes) and 1 (a geometric tail of ratio 1/2); each shape is
+# searched once for a target it misses at eps 1/10**12 and once with a
+# looser eps that pins which pair is nearest
+WITNESS_SHAPES = {
+    "explicit_7532": (_classes_doc({"kind": "explicit",
+                                    "weights": ["7/17", "5/17", "3/17", "2/17"]}), "11"),
+    "three_class": (_classes_doc(_const("1/2"), _const("1/3"), _const("2/5")), "21"),
+    "geom_half": (_classes_doc({"kind": "geometric_tail", "base": ["1/2"],
+                               "ratio": "1/2"}), "13"),
+}
+
+WITNESS_RUNS = {
+    ("explicit_7532", "1000/1013", "1/1000000000000"):
+        (2, "442ae36f3f2a164ebed3665d325eba29ed562232bbaa4fc2ed85545d3c50f66b"),
+    ("explicit_7532", "1000/1013", "1/1000"):
+        (0, "889711dc670a40021d06ded4b51d664ab5150a97254866e6e1499a63914c8c28"),
+    ("three_class", "1000/1013", "1/1000000000000"):
+        (2, "3a197fedc8d71fdf6431ec156b8a269c743c0b8dc2e529ac9b2ff0ed3a5a9cd9"),
+    ("three_class", "1000/1013", "1/1000"):
+        (0, "c30dd7bc61295ddb42243f9550213384ac03081fe383f8f9b46265945bc498bc"),
+    ("geom_half", "1000/1013", "1/1000000000000"):
+        (2, "3372fca9c8ae285b45e9816b57fbb92630f64a974a5d057895e3dba9a1249b06"),
+    ("geom_half", "1/3", "1/10"):
+        (0, "c28778194b9f03c091bda7e98ecec65f345ca3a061e6da12b80b0fcd950eee08"),
+}
+
+ORACLE_RUN = (["--length", "6", "--targets", "1000/1013", "22/7", "1/3"],
+              (0, "2cb3f6255c71277937201f45ba1c7fb71b451663bffd1bb801f632045d7926d6"))
+
+
+def _write_shape(tmp_path, name):
+    doc, max_block = WITNESS_SHAPES[name]
+    (tmp_path / f"{name}.spec").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                                           encoding="utf-8")
+    return max_block
+
+
+@pytest.mark.parametrize("name, target, eps", sorted(WITNESS_RUNS))
+def test_witness_shapes_pinned(monkeypatch, capsys, tmp_path, name, target, eps):
+    max_block = _write_shape(tmp_path, name)
+    monkeypatch.chdir(tmp_path)
+    code = main(["witness", f"{name}.spec", "--target", target, "--eps", eps,
+                 "--max-block", max_block, "--format", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == WITNESS_RUNS[name, target, eps]
+
+
+def test_oracle_explicit_pinned(monkeypatch, capsys, tmp_path):
+    _write_shape(tmp_path, "explicit_7532")
+    monkeypatch.chdir(tmp_path)
+    args, expected = ORACLE_RUN
+    code = main(["oracle", "explicit_7532.spec", *args, "--format", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == expected
+
+
+# witness_search_extremes on every shipped spec: one digest per spec over
+# the witnesses (or None) at each start and eps, in this order
+EXTREME_STARTS = (0, 10, 200)
+EXTREME_EPS = (F(1, 10), F(1, 1000), F(1, 10 ** 9))
+EXTREMES = {
+    "capped_half.spec": "c727592afd3fb1ae351de9009896bed7e2070be44c2a9925e99c8b9995f30dea",
+    "geom_half.spec": "cb49833346ee6e2fdf001ad04cae321d82fb88f98db1e057c337369716ad53a5",
+    "interleave_2_3.spec": "be572de1fae4e6d8930ce03fafe9f6517d8fde2728d9a2ec9c754e75477f57ed",
+    "lambda_zero_one.spec": "a3668ff3015e4f205266ab4e21f16fe9b4710a58907f959a400c766ff8325bf1",
+    "powers_half.factor": "d4159efb39aaf62255e056b5791254034f1d372b8a67cd12ccb736b89b387799",
+    "powers_half.spec": "d4159efb39aaf62255e056b5791254034f1d372b8a67cd12ccb736b89b387799",
+    "two_inf.spec": "39af842979328b14e859a8143aab3ca4b43529f12508cfbad8d3f8c7b2651e8b",
+    "type_one.spec": "9b7e4aa8b5c34475098d8926b368cc718a6c4691f85fd4b1291836715ba6129e",
+    "uniform.spec": "a422934ccac803a62b30f8d739886b023ba793a5584dfb3b0ac03345c921cbac",
+}
+
+
+def extremes_table(spec_path):
+    spec = load_spec(spec_path)
+    vs = validate(factor_to_scheme(spec) if isinstance(spec, FactorSpec)
+                  else normalize(spec).spec)
+    table = []
+    for start in EXTREME_STARTS:
+        for eps in EXTREME_EPS:
+            w = witness_search_extremes(vs, eps, start=start, max_block=6)
+            table.append(None if w is None else w.to_dict())
+    return json.dumps(table, sort_keys=True)
+
+
+@pytest.mark.parametrize("spec", sorted(EXTREMES))
+def test_extremes_search_pinned(spec):
+    digest = hashlib.sha256(extremes_table(SPEC_DIR / spec).encode()).hexdigest()
+    assert digest == EXTREMES[spec]

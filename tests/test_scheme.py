@@ -3,12 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import (
-    CoverageGap, Deviation, ExplicitWeights, FactorSpec, GeometricTail,
+    CappedGeometric, CoverageGap, Deviation, ExplicitWeights, FactorSpec, GeometricTail,
     IndexClass, Indices, NonPositiveWeight, NotNormalized, Overlap, Perturbed,
     SchemeSpec, SpecError, TwoPoint, factor_to_scheme, normalize,
     scheme_to_factor, truncate_alphabet, validate,
 )
-from kriegerlab.scheme import ModeError
+from kriegerlab.exact import as_mode
+from kriegerlab.scheme import ModeError, _div
 
 from conftest import ALL_N, EVENS, ODDS, F, powers, single_class
 
@@ -172,6 +173,23 @@ def test_geometric_spectra_round_trip():
 
 def geometric_vs():
     return validate(single_class(GeometricTail((F(1, 2),), F(1, 2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100),
+       st.integers(1, 6), st.integers(2, 5), st.integers(1, 4), st.integers(0, 30),
+       st.sampled_from(["rational", "float"]))
+def test_capped_weights_match_per_symbol_formula(ratio, cap, size_start, size_step, pos, mode):
+    # weight i is ratio**min(i, cap) / total, also where the tail repeats
+    if mode == "float":
+        ratio = float(ratio)
+    tpl = CappedGeometric(ratio, cap, size_start, size_step)
+    size = tpl.alphabet_size(pos)
+    total = tpl._norm(size)
+    want = tuple(as_mode(_div(ratio ** min(i, cap), total), mode) for i in range(size))
+    got = tpl.weights_at(pos + 1, pos, mode)
+    assert got == want
+    assert [type(w) for w in got] == [type(w) for w in want]
 
 
 def test_truncate_geometric_budget_eighth():
