@@ -19,7 +19,7 @@ from .asymptotics import (
     ClusterReport, LambdaReport, NotTwoPoint, SeriesDescriptor,
     SummabilityVerdict, SymbolFinite, cluster_set_M_F, cluster_set_M_i,
     constant_series, geometric_series, inf_liminf, lambda_clusters,
-    numeric_series, power_series, summability, union_cluster_report,
+    power_series, summability, union_cluster_report,
 )
 from .groups import (
     DomainError, GroupStructure, ZeroInSet, commensurable, mult_group,

@@ -4,15 +4,14 @@ Cluster points are computed symbolically from template limits, never by
 numeric epsilon-clustering, except for finite explicit data (prefix
 vectors and finite classes) where values are grouped exactly (rational
 mode) or within 1e-9 (float mode).  Summability verdicts come from a
-fixed rule table over closed-form term families; numeric evidence alone
-yields the first-class verdict ``inconclusive``.
+fixed rule table over closed-form term families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .exact import RATIONAL, Num, format_scalar, is_exact
 from .scheme import (
@@ -22,7 +21,6 @@ from .scheme import (
 
 FINITE_CLUSTER_TOL = 1e-9
 ZERO_FLAG_TOL = Fraction(1, 10 ** 9)
-N_MAX = 10 ** 6
 
 
 class SymbolFinite(SpecError):
@@ -53,7 +51,6 @@ class Term:
       * ``geometric``  -- term = scale*rho**n exactly (``exact=True``) or
                           bounded above by it (``exact=False``)
       * ``power``      -- term comparable to scale*n**(-p)
-      * ``numeric``    -- only pointwise evaluation is available
     """
 
     kind: str
@@ -62,7 +59,6 @@ class Term:
     p: Optional[Num] = None
     scale: Optional[Num] = None
     exact: bool = False
-    fn: Optional[Callable[[int], float]] = None
 
     @staticmethod
     def from_deviation(dev: Deviation, scale: Optional[Num] = None, exact: bool = False):
@@ -100,8 +96,6 @@ class SummabilityVerdict:
     evidence: str
     total: Optional[Num] = None      # exact closed-form sum when available
     bound: Optional[Num] = None      # rigorous upper bound for summable series
-    partial_sum: Optional[float] = None
-    n_max: Optional[int] = None
 
     @property
     def summable(self):
@@ -121,9 +115,6 @@ class SummabilityVerdict:
             out["total"] = format_scalar(self.total)
         if self.bound is not None:
             out["bound"] = format_scalar(self.bound)
-        if self.partial_sum is not None:
-            out["partial_sum"] = self.partial_sum
-            out["n_max"] = self.n_max
         return out
 
 
@@ -134,7 +125,7 @@ def _geometric_tail_sum(rho: Num, scale: Num, indices: Indices) -> Num:
         else float(scale) * float(rho) ** a / (1 - float(rho) ** d)
 
 
-def _part_verdict(part: SeriesPart, n_max: int) -> SummabilityVerdict:
+def _part_verdict(part: SeriesPart) -> SummabilityVerdict:
     t = part.term
     if t.kind == "zero":
         return SummabilityVerdict(SUMMABLE, f"{part.label}: terms identically zero",
@@ -171,43 +162,28 @@ def _part_verdict(part: SeriesPart, n_max: int) -> SummabilityVerdict:
             SUMMABLE,
             f"{part.label}: terms {word} {format_scalar(t.rho)}**n (geometric rule)",
             total=total, bound=bound)
-    if t.kind == "power":
-        if t.p > 1:
-            return SummabilityVerdict(
-                SUMMABLE,
-                f"{part.label}: terms comparable to n**(-{format_scalar(t.p)}), "
-                "p-series rule with p > 1")
+    # power: the p-series and integral-test rules
+    if t.p > 1:
         return SummabilityVerdict(
-            DIVERGENT,
-            f"{part.label}: terms comparable to n**(-{format_scalar(t.p)}) with "
-            "p <= 1, integral-test rule")
-    # numeric fallback: partial sums prove nothing either way
-    partial = 0.0
-    count = 0
-    if part.indices is not None:
-        for n in part.indices.iterate(n_max):
-            partial += t.fn(n)
-            count += 1
+            SUMMABLE,
+            f"{part.label}: terms comparable to n**(-{format_scalar(t.p)}), "
+            "p-series rule with p > 1")
     return SummabilityVerdict(
-        INCONCLUSIVE,
-        f"{part.label}: no symbolic rule applies; partial sum over {count} terms",
-        partial_sum=partial, n_max=n_max)
+        DIVERGENT,
+        f"{part.label}: terms comparable to n**(-{format_scalar(t.p)}) with "
+        "p <= 1, integral-test rule")
 
 
-def summability(series: SeriesDescriptor, n_max: int = N_MAX) -> SummabilityVerdict:
+def summability(series: SeriesDescriptor) -> SummabilityVerdict:
     """Combine per-part rule-table verdicts.
 
-    Any divergent part makes the series divergent; otherwise any
-    inconclusive part wins; otherwise the series is summable with an
-    exact total when every part has one.
+    Any divergent part makes the series divergent; otherwise the series
+    is summable with an exact total when every part has one.
     """
-    verdicts = [_part_verdict(p, n_max) for p in series]
+    verdicts = [_part_verdict(p) for p in series]
     for v in verdicts:
         if v.divergent:
             return v
-    bad = [v for v in verdicts if v.inconclusive]
-    if bad:
-        return bad[0]
     evidence = "; ".join(v.evidence for v in verdicts) or "empty series"
     total = Fraction(0)
     for v in verdicts:
@@ -237,10 +213,6 @@ def power_series(p: Num, coeff: Num = 1, indices: Indices = Indices(1, 1)) -> Se
 
 def constant_series(c: Num, indices: Indices = Indices(1, 1)) -> SeriesDescriptor:
     return SeriesDescriptor((SeriesPart("series", indices, Term("const", value=c)),))
-
-
-def numeric_series(fn: Callable[[int], float], indices: Indices = Indices(1, 1)) -> SeriesDescriptor:
-    return SeriesDescriptor((SeriesPart("series", indices, Term("numeric", fn=fn)),))
 
 
 # ---------------------------------------------------------------------------

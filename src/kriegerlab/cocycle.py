@@ -21,7 +21,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, cycle
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .exact import RATIONAL, Num, format_scalar, is_exact
@@ -37,7 +38,6 @@ DEFAULT_SEED = int.from_bytes(b"B3RN0U11", "big")
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
-_TWO53 = float(1 << 53)
 
 
 class WordLengthMismatch(SpecError):
@@ -333,7 +333,9 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
             best = _closest(left_sorted, right_sorted, lambda a: t_s // (td * a),
                             lambda v: abs(v * td - t_s), lambda g: g * ed < bound)
         else:
-            best = _closest(left_sorted, right_sorted, lambda a: target / a,
+            # a left value that underflowed to 0.0 completes to 0, never close
+            best = _closest(left_sorted, right_sorted,
+                            lambda a: target / a if a else math.inf,
                             lambda v: abs(v - target), lambda g: g < eps)
         if best is not None:
             _, value, lw, rw = best
@@ -482,30 +484,24 @@ def _derived_seed(seed: int, stream: int) -> int:
     return (seed ^ ((stream + 1) * _GOLDEN)) & _MASK64
 
 
-def _exact_table(weights, retained) -> tuple:
-    """Integer bisection keys of one rational coordinate, and their query scale.
+def _exact_table(weights, retained) -> list:
+    """Exact symbol thresholds of one rational coordinate for ``random()``.
 
-    ``random()`` returns u = k / 2**53 exactly.  With L the lcm of the
-    weight denominators, C_i = L * cums[i] and retained = R / S,
-    cums[i] <= u * retained exactly when (C_i * S) << 53 <= k * R * L,
-    so bisecting k * R * L in these keys picks the symbol that bisecting
-    u * retained in the cumulative Fractions would.
+    ``random()`` returns u = k / 2**53.  With L the lcm of the weight
+    denominators, C_i = L * cums[i] and retained = R / S, cums[i] <= u *
+    retained exactly when k >= T_i = ceil(C_i * S * 2**53 / (R * L)), and
+    min(T_i, 2**53) / 2**53 is an exact double.  The last one is dropped,
+    which clamps the pick to the alphabet.
     """
     lcm, nums = _numerators(weights)
-    s = retained.denominator
-    keys = [(c * s) << 53 for c in accumulate(nums)]
-    return keys, retained.numerator * lcm
+    num, den = retained.denominator << 53, retained.numerator * lcm
+    return [min(-(-c * num // den), 1 << 53) * 2.0 ** -53
+            for c in accumulate(nums[:-1])]
 
 
-def _draw_word(rng: random.Random, tables, exact: bool) -> tuple:
-    # per coordinate, the smallest i with u*retained < cums[i] by binary
-    # search, clamped to the alphabet; exact tables take k = u * 2**53
-    word = []
-    for keys, scale in tables:
-        u = rng.random()
-        q = int(u * _TWO53) * scale if exact else u * scale
-        word.append(min(bisect_right(keys, q), len(keys) - 1))
-    return tuple(word)
+def _float_table(weights) -> list:
+    """The cumulative float weights without the last, which clamps the pick."""
+    return list(accumulate(weights))[:-1]
 
 
 def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
@@ -514,11 +510,12 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
     """Sample log D between independent product-measure draws on a window.
 
     x-words and y-words are drawn independently from the (truncated,
-    renormalized) product measure; the recorded ratio uses true weights
-    and is exact in rational mode, where symbols are drawn by integer
-    bisection.  Fully deterministic given the seed: sample i uses a seed
-    derived from (seed, i), so the stream does not depend on evaluation
-    order or parallelism.
+    renormalized) product measure, one ``random()`` value u per
+    coordinate bisected in :func:`_exact_table` or, in float mode, in the
+    cumulative float weights at retained * u; the recorded ratio uses
+    true weights and is exact in rational mode.  Fully deterministic
+    given the seed: sample i uses a seed derived from (seed, i), so the
+    stream does not depend on evaluation order or parallelism.
     """
     if n_samples < 1:
         raise SpecError("n_samples must be >= 1")
@@ -529,14 +526,20 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
         # w[b]/w[a] = N[b]/N[a] over each coordinate's common denominator
         nums = [_numerators(a)[1] for a in block.alphabets]
     else:
-        tables = [(list(accumulate(a)), r) for a, r in zip(block.alphabets, block.retained)]
+        tables = [_float_table(a) for a in block.alphabets]
+        lgs = [[_log_of(w) for w in a] for a in block.alphabets]
     logs = []
     ratios = [] if exact else None
     moves = []
+    rng = random.Random()
+    draws = iter(rng.random, None)
+    # tables go first in each word's map, so a word pulls exactly one query
+    # per coordinate, and the float queries retained * u stay in step
+    queries = draws if exact else map(mul, cycle(block.retained), draws)
     for i in range(n_samples):
-        rng = random.Random(_derived_seed(seed, i))
-        x = _draw_word(rng, tables, exact)
-        y = _draw_word(rng, tables, exact)
+        rng.seed(_derived_seed(seed, i))
+        x = tuple(map(bisect_right, tables, queries))
+        y = tuple(map(bisect_right, tables, queries))
         if exact:
             # the reduced exact ratio over the changed coordinates; its log
             # is 0.0 exactly when D = 1
@@ -549,7 +552,11 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
             ratios.append(d)
             logs.append(_log_of(d))
         else:
-            logs.append(log_cocycle(block, x, y))
+            # added left to right as log_cocycle does; sum() may compensate
+            total = 0.0
+            for lg, a, b in zip(lgs, x, y):
+                total += lg[b] - lg[a]
+            logs.append(total)
         moves.append((x, y))
     return CocycleSampleSet(seed, start, window, delta, block.coordinates,
                             tuple(logs), None if ratios is None else tuple(ratios),

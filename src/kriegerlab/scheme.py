@@ -211,18 +211,6 @@ class Indices:
     def first(self) -> int:
         return self.members[0] if self.members is not None else self.start
 
-    def iterate(self, limit: int):
-        """Yield members up to and including ``limit``."""
-        if self.members is not None:
-            for m in self.members:
-                if m <= limit:
-                    yield m
-        else:
-            n = self.start
-            while n <= limit:
-                yield n
-                n += self.step
-
     def describe(self) -> str:
         if self.members is not None:
             return f"{{{', '.join(map(str, self.members))}}}"
@@ -944,19 +932,47 @@ def truncate_alphabet(vs: ValidatedScheme, n: int, delta) -> TruncatedAlphabet:
     where, pos = vs.locate(n)
     if where == "prefix" or vs.classes[where].template.alphabet_size(pos) is not None:
         w = vs.weights_at(n)
+        if vs.mode != RATIONAL and not min(w) > 0:
+            raise NonPositiveWeight(f"a weight of coordinate {n} underflows to 0 "
+                                    "in float mode; use rational mode")
         return TruncatedAlphabet(w, sum(w), True)
     tpl = vs.classes[where].template
     if tpl.kind != "geometric_tail":
         raise BudgetUnreachable(f"cannot enumerate template {tpl.describe()}")
     target = 1 - as_mode(delta, vs.mode)
+    if vs.mode == RATIONAL:
+        return _truncate_rational_tail(tpl, target)
     weights = []
-    mass = as_mode(Fraction(0), vs.mode)
-    i = 0
+    mass = 0.0
     while mass < target:
-        w = as_mode(tpl.weight(i), vs.mode)
+        w = as_mode(tpl.weight(len(weights)), vs.mode)
         weights.append(w)
         mass += w
-        i += 1
-        if i > 10_000_000:
+        if len(weights) > 10_000_000:
             raise BudgetUnreachable("truncation did not reach the mass budget")
+    return TruncatedAlphabet(tuple(weights), mass, False)
+
+
+def _truncate_rational_tail(tpl: GeometricTail, target: Fraction) -> TruncatedAlphabet:
+    """The rational tail's shortest prefix with mass >= target, in closed form.
+
+    j tail symbols b*q**i have mass b*(1 - q**j)/(1 - q), so the prefix
+    grows by w*q until q**j <= 1 - (target - head)*(1 - q)/b.
+    """
+    weights, mass = [], Fraction(0)
+    for w in tpl.base[:-1]:
+        if mass >= target:
+            return TruncatedAlphabet(tuple(weights), mass, False)
+        weights.append(w)
+        mass += w
+    b, q = tpl.base[-1], tpl.ratio
+    tn, td = (1 - (target - mass) * (1 - q) / b).as_integer_ratio()
+    qn, qd = q.as_integer_ratio()
+    w, pn, pd = b, 1, 1
+    while pn * td > tn * pd:
+        weights.append(w)
+        w, pn, pd = w * q, pn * qn, pd * qd
+        if len(weights) > 10_000_000:
+            raise BudgetUnreachable("truncation did not reach the mass budget")
+    mass += b * (1 - Fraction(pn, pd)) / (1 - q)
     return TruncatedAlphabet(tuple(weights), mass, False)

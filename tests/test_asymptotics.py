@@ -6,7 +6,7 @@ from kriegerlab import (
     Deviation, ExplicitWeights, GeometricTail, IndexClass, Indices, Perturbed,
     SchemeSpec, SymbolFinite, TwoPoint, cluster_set_M_F, cluster_set_M_i,
     constant_series, geometric_series, inf_liminf, lambda_clusters,
-    numeric_series, power_series, summability, union_cluster_report, validate,
+    power_series, summability, union_cluster_report, validate,
 )
 
 from conftest import (
@@ -177,13 +177,6 @@ def test_p_series_two_summable_with_bounded_partial_sums():
 
 def test_constant_series_divergent():
     assert summability(constant_series(F(1, 3))).divergent
-
-
-def test_numeric_series_is_inconclusive():
-    v = summability(numeric_series(lambda n: 1.0 / (n * math.log(n + 1.5)) ** 1,
-                                   Indices(2, 1)), n_max=10 ** 4)
-    assert v.inconclusive
-    assert v.partial_sum is not None
 
 
 def test_geometric_series_over_progression_total():

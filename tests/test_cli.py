@@ -6,7 +6,7 @@ import pytest
 
 from kriegerlab.cli import main
 
-from conftest import SPEC_DIR
+from conftest import SPEC_DIR, F
 
 
 def run_cli(capsys, *argv):
@@ -323,3 +323,37 @@ def test_report_with_half_block_values_below_the_smallest_double(tmp_path, capsy
     code, _, err = run_cli(capsys, "report", str(path), "--samples", "200",
                            "--start", "3000")
     assert code == 0, err
+
+
+# ---------------------------------------------------------------------------
+# float underflow far out
+
+def _float_spec(tmp_path, template):
+    from kriegerlab import IndexClass, Indices, SchemeSpec, save_spec
+    path = tmp_path / "float.spec"
+    save_spec(SchemeSpec("float", (), (IndexClass(Indices(1, 1), template),)), path)
+    return str(path)
+
+
+def test_float_weight_underflow_is_an_input_error(tmp_path, capsys):
+    # eps_n = 2**-(n+1) is 0.0 as a float beyond n = 1074
+    from kriegerlab import Deviation, TwoPoint
+    path = _float_spec(tmp_path, TwoPoint("weight", None, Deviation(
+        "geometric", rho=F(1, 2), coeff=F(1, 2))))
+    for argv in (["sample", path, "--samples", "5", "--window", "4", "--start", "1100"],
+                 ["oracle", path, "--start", "1100", "--targets", "1/2"],
+                 ["witness", path, "--start", "1100", "--target", "1/2", "--eps", "1/10"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "underflows to 0 in float mode" in err
+
+
+def test_float_witness_skips_block_values_that_underflow(tmp_path, capsys):
+    # ratio**3 = 2**-657 is a move of every coordinate past the third, and
+    # two such moves multiply to 0.0
+    from kriegerlab import CappedGeometric
+    path = _float_spec(tmp_path, CappedGeometric(F(1, 2 ** 219), 3))
+    code, out, _ = run_cli(capsys, "witness", path, "--target", "1/3", "--eps", "1/1000",
+                           "--max-block", "4", "--start", "10")
+    assert code == 2
+    assert "no witness in scope" in out

@@ -15,11 +15,12 @@ from kriegerlab import (
     validate, witness_search, witness_search_extremes,
 )
 from kriegerlab import cocycle, normalize
+from kriegerlab.cli import _load_scheme
 from kriegerlab.cocycle import _moves, _ratio_moves
 
 from conftest import (
-    F, capped_scheme, geometric_scheme, interleave, powers, single_class, type_one_spec,
-    uniform_two_point,
+    F, SPEC_DIR, capped_scheme, geometric_scheme, interleave, powers, single_class,
+    type_one_spec, uniform_two_point,
 )
 
 LOG2 = math.log(2.0)
@@ -494,16 +495,6 @@ def test_export_format(powers_half):
     int(num), int(den)
 
 
-class _FixedDraws:
-    """Stands in for random.Random: random() returns k / 2**53 for each given k."""
-
-    def __init__(self, ks):
-        self._draws = iter(ks)
-
-    def random(self):
-        return next(self._draws) * 2.0 ** -53
-
-
 def _reference_pick(weights, retained, k):
     # bisection of u * retained in the cumulative Fractions, clamped
     cums = list(itertools.accumulate(weights))
@@ -549,8 +540,66 @@ def test_integer_draw_matches_fraction_bisection(alphabet, random_ks):
         ks.update(k for k in (edge - 1, edge, edge + 1) if 0 <= k < 2 ** 53)
     ks = sorted(ks)
     table = cocycle._exact_table(weights, retained)
-    picks = cocycle._draw_word(_FixedDraws(ks), [table] * len(ks), exact=True)
-    assert list(picks) == [_reference_pick(weights, retained, k) for k in ks]
+    assert len(table) == len(weights) - 1
+    picks = [bisect.bisect_right(table, k * 2.0 ** -53) for k in ks]
+    assert picks == [_reference_pick(weights, retained, k) for k in ks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=8),
+       st.floats(min_value=0.5, max_value=2.0),
+       st.lists(st.integers(0, 2 ** 53 - 1), max_size=20))
+def test_float_draw_matches_clamped_bisection(weights, factor, random_ks):
+    cums = list(itertools.accumulate(weights))
+    retained = cums[-1] * factor
+    # every k next to or at a cumulative boundary, both ends, random k
+    ks = {0, 2 ** 53 - 1, *random_ks}
+    for c in cums:
+        edge = int(c / retained * 2 ** 53)
+        ks.update(k for k in (edge - 1, edge, edge + 1) if 0 <= k < 2 ** 53)
+    table = cocycle._float_table(weights)
+    for k in sorted(ks):
+        u = k * 2.0 ** -53
+        assert bisect.bisect_right(table, retained * u) \
+            == min(bisect.bisect_right(cums, u * retained), len(weights) - 1)
+
+
+def _reference_samples(vs, seed, n_samples, window, start):
+    """A plain per-coordinate sampler: one random() per coordinate, x then y."""
+    block = block_for(vs, start, window)
+    cums = [list(itertools.accumulate(a)) for a in block.alphabets]
+    exact = vs.mode == "rational"
+    logs, ratios, moves = [], [], []
+    for i in range(n_samples):
+        rng = random.Random(cocycle._derived_seed(seed, i))
+        words = []
+        for _ in range(2):
+            word = []
+            for c, r in zip(cums, block.retained):
+                u = F(rng.random()) if exact else rng.random()
+                word.append(min(bisect.bisect_right(c, u * r), len(c) - 1))
+            words.append(tuple(word))
+        x, y = words
+        if exact:
+            d = cocycle_ratio(block, x, y)
+            ratios.append(d)
+            logs.append(math.log(d.numerator) - math.log(d.denominator))
+        else:
+            logs.append(log_cocycle(block, x, y))
+        moves.append((x, y))
+    return tuple(logs), tuple(ratios) if exact else None, tuple(moves)
+
+
+SHIPPED = sorted(SPEC_DIR.glob("*.spec")) + [SPEC_DIR / "powers_half.factor"]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_sampler_matches_reference_loop(path):
+    vs = _load_scheme(path)
+    for seed in (3, cocycle.DEFAULT_SEED):
+        s = mc_sample_cocycle(vs, seed=seed, n_samples=40, window=12, start=30)
+        assert (s.log_values, s.ratios, s.moves) \
+            == _reference_samples(vs, seed, 40, 12, 30)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ common step.  The properties are global ones that every spec must
 satisfy, whatever its templates.
 """
 
+import contextlib
+import io
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -15,8 +19,9 @@ from hypothesis import strategies as st
 from kriegerlab import (
     CappedGeometric, Deviation, ExplicitWeights, GeometricTail, IndexClass,
     Indices, Perturbed, SchemeSpec, TwoPoint, block_for, brute_force_block,
-    classify, normalize, replay, validate, witness_search,
+    classify, normalize, replay, save_spec, validate, witness_search,
 )
+from kriegerlab.cli import main
 from kriegerlab.exact import format_scalar
 
 F = Fraction
@@ -134,3 +139,61 @@ def test_random_specs_normalized_weights_descend_and_sum(spec):
         assert sum(w) == 1
         assert all(w[i] >= w[i + 1] for i in range(len(w) - 1))
         assert max(w) == w[0]
+
+
+# ---------------------------------------------------------------------------
+# exit codes of every command on tiny-weight specs far out
+
+@st.composite
+def tiny_templates(draw):
+    """Templates whose small weights shrink to hundreds of bits far out."""
+    kind = draw(st.sampled_from(
+        ["two_point_const", "two_point_weight", "explicit", "geometric_tail", "capped"]))
+    tiny = F(1, 2 ** draw(st.integers(1, 300)))
+    if kind == "two_point_const":
+        return TwoPoint("const", tiny)
+    if kind == "two_point_weight":
+        return TwoPoint("weight", None, Deviation(
+            "geometric", rho=F(1, 2 ** draw(st.integers(1, 8))), coeff=F(1, 2)))
+    if kind == "explicit":
+        small = F(1, 10 ** draw(st.integers(1, 60)))
+        return ExplicitWeights((1 - tiny / 2 - small / 2, tiny / 2, small / 2))
+    if kind == "geometric_tail":
+        q = F(1, 2 ** draw(st.integers(1, 40)))
+        return GeometricTail((1 - q,), q)
+    return CappedGeometric(tiny, draw(st.integers(1, 3)), 2, 1)
+
+
+@st.composite
+def tiny_specs(draw):
+    # float mode underflows where rational mode stays exact
+    mode = draw(st.sampled_from(["rational", "float"]))
+    k = draw(st.integers(1, 3))
+    return SchemeSpec(mode, (), tuple(
+        IndexClass(Indices(1 + j, k), draw(tiny_templates())) for j in range(k)))
+
+
+def _commands(path, start, out):
+    far = ["--start", str(start)]
+    sampling = ["--samples", "20", "--window", "4", *far]
+    return [
+        ["classify", path, "--format", "json"],
+        ["witness", path, "--target", "1/3", "--eps", "1/1000", "--max-block", "4", *far],
+        ["sample", path, *sampling, "--format", "json"],
+        ["oracle", path, "--length", "2", "--targets", "1/2", "1/3", *far],
+        ["report", path, *sampling, "--max-block", "4", "--format", "json"],
+        ["convert", path, "--from", "scheme", "--out", out],
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_specs(), st.integers(500, 3000))
+def test_every_command_exits_0_1_or_2_on_tiny_weights_far_out(spec, start):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tiny.spec")
+        save_spec(spec, path)
+        for argv in _commands(path, start, os.path.join(tmp, "out.factor")):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], err.getvalue())

@@ -224,6 +224,34 @@ def test_truncate_retained_mass_meets_budget_and_is_monotone():
         last = t.retained_mass
 
 
+def _summed_truncation(tpl, delta):
+    # one Fraction mass per symbol, each weight from the template's formula
+    target = 1 - delta
+    weights, mass = [], F(0)
+    while mass < target:
+        weights.append(as_mode(tpl.weight(len(weights)), "rational"))
+        mass += weights[-1]
+    return tuple(weights), mass
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 30), max_size=3),
+       st.fractions(min_value=F(1, 100), max_value=F(99, 100), max_denominator=100),
+       st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=60),
+       st.fractions(min_value=F(1, 10 ** 6), max_value=F(1, 2), max_denominator=10 ** 6))
+def test_truncate_rational_tail_matches_summed_loop(raw, share, q, delta):
+    # head weights of total mass share (the budget may end inside them),
+    # then a tail b*q**i carrying the rest
+    head = [F(r, sum(raw)) * share for r in raw]
+    b = (1 - sum(head)) * (1 - q)
+    vs = validate(normalize(single_class(GeometricTail(tuple(head) + (b,), q))).spec)
+    tpl = vs.classes[0].template
+    t = truncate_alphabet(vs, 1, delta)
+    assert (t.weights, t.retained_mass) == _summed_truncation(tpl, delta)
+    assert not t.full
+    assert all(type(w) is F for w in t.weights)
+
+
 def test_truncate_rejects_bad_budget():
     with pytest.raises(SpecError):
         truncate_alphabet(geometric_vs(), 1, F(3, 4))
