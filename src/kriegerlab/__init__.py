@@ -16,8 +16,8 @@ from .scheme import (
     scheme_to_factor, truncate_alphabet, validate,
 )
 from .asymptotics import (
-    ClusterReport, LambdaReport, NotTwoPoint, SeriesDescriptor,
-    SummabilityVerdict, SymbolFinite, cluster_set_M_F, cluster_set_M_i,
+    ClusterReport, LambdaReport, NotTwoPoint, SummabilityVerdict,
+    SymbolFinite, cluster_set_M_F, cluster_set_M_i,
     constant_series, geometric_series, inf_liminf, lambda_clusters,
     power_series, summability, union_cluster_report,
 )

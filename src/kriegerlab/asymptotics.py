@@ -83,14 +83,6 @@ class SeriesPart:
 
 
 @dataclass(frozen=True)
-class SeriesDescriptor:
-    parts: tuple
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
-@dataclass(frozen=True)
 class SummabilityVerdict:
     verdict: str
     evidence: str
@@ -174,8 +166,8 @@ def _part_verdict(part: SeriesPart) -> SummabilityVerdict:
         "p <= 1, integral-test rule")
 
 
-def summability(series: SeriesDescriptor) -> SummabilityVerdict:
-    """Combine per-part rule-table verdicts.
+def summability(series: tuple) -> SummabilityVerdict:
+    """Combine the rule-table verdicts of a tuple of ``SeriesPart``.
 
     Any divergent part makes the series divergent; otherwise the series
     is summable with an exact total when every part has one.
@@ -199,20 +191,18 @@ def summability(series: SeriesDescriptor) -> SummabilityVerdict:
     return SummabilityVerdict(SUMMABLE, evidence, total=total, bound=bound)
 
 
-# convenience constructors used by tests and the CLI oracle command
+# one-part series, for building summability examples by hand
 
-def geometric_series(coeff: Num, rho: Num, indices: Indices = Indices(1, 1)) -> SeriesDescriptor:
-    return SeriesDescriptor((SeriesPart("series", indices,
-                                        Term("geometric", rho=rho, scale=coeff, exact=True)),))
-
-
-def power_series(p: Num, coeff: Num = 1, indices: Indices = Indices(1, 1)) -> SeriesDescriptor:
-    return SeriesDescriptor((SeriesPart("series", indices,
-                                        Term("power", p=p, scale=coeff, exact=True)),))
+def geometric_series(coeff: Num, rho: Num, indices: Indices = Indices(1, 1)) -> tuple:
+    return (SeriesPart("series", indices, Term("geometric", rho=rho, scale=coeff, exact=True)),)
 
 
-def constant_series(c: Num, indices: Indices = Indices(1, 1)) -> SeriesDescriptor:
-    return SeriesDescriptor((SeriesPart("series", indices, Term("const", value=c)),))
+def power_series(p: Num, coeff: Num = 1, indices: Indices = Indices(1, 1)) -> tuple:
+    return (SeriesPart("series", indices, Term("power", p=p, scale=coeff, exact=True)),)
+
+
+def constant_series(c: Num, indices: Indices = Indices(1, 1)) -> tuple:
+    return (SeriesPart("series", indices, Term("const", value=c)),)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +260,13 @@ def _merge_points(raw, mode: str):
     return tuple(ClusterPoint(v, tuple(dict.fromkeys(w)), r) for v, w, r in out)
 
 
+def _cluster_report(raw, mode: str, note: str) -> ClusterReport:
+    points = _merge_points(raw, mode)
+    return ClusterReport(points, min((p.value for p in points), default=None),
+                         contains_zero=any(p.value <= ZERO_FLAG_TOL for p in points),
+                         note=note)
+
+
 def cluster_set_M_i(vs: ValidatedScheme, symbol: int) -> ClusterReport:
     """Cluster points of the weight ratios of ``symbol`` against symbol 0.
 
@@ -289,11 +286,7 @@ def cluster_set_M_i(vs: ValidatedScheme, symbol: int) -> ClusterReport:
         raw.append((cls.template.ratio_limit(symbol), labels[k], True))
     if not raw:
         raise SymbolFinite(f"symbol {symbol} appears in only finitely many coordinates")
-    points = _merge_points(raw, vs.mode)
-    liminf = min(p.value for p in points)
-    return ClusterReport(points, liminf,
-                         contains_zero=any(p.value <= ZERO_FLAG_TOL for p in points),
-                         note=f"ratios of symbol {symbol} against symbol 0")
+    return _cluster_report(raw, vs.mode, f"ratios of symbol {symbol} against symbol 0")
 
 
 def cluster_set_M_F(vs: ValidatedScheme) -> ClusterReport:
@@ -319,11 +312,8 @@ def cluster_set_M_F(vs: ValidatedScheme) -> ClusterReport:
                 w = cls.template.weights_at(n, pos, vs.mode)
                 for i in range(sup, len(w)):
                     raw.append((_div(w[i], w[0]), labels[k], False))
-    points = _merge_points(raw, vs.mode)
-    liminf = min((p.value for p in points), default=None)
-    return ClusterReport(points, liminf,
-                         contains_zero=any(p.value <= ZERO_FLAG_TOL for p in points),
-                         note="finite-data ratio groups of transiently appearing symbols")
+    return _cluster_report(raw, vs.mode,
+                           "finite-data ratio groups of transiently appearing symbols")
 
 
 def union_cluster_report(vs: ValidatedScheme) -> ClusterReport:
@@ -357,11 +347,7 @@ def union_cluster_report(vs: ValidatedScheme) -> ClusterReport:
         else:
             for i in sizes:
                 raw.append((cls.template.ratio_limit(i), labels[k], True))
-    points = _merge_points(raw, vs.mode)
-    liminf = min((p.value for p in points), default=None)
-    return ClusterReport(points, liminf,
-                         contains_zero=any(p.value <= ZERO_FLAG_TOL for p in points),
-                         note="union of per-symbol cluster sets, symbol 0 excluded")
+    return _cluster_report(raw, vs.mode, "union of per-symbol cluster sets, symbol 0 excluded")
 
 
 def inf_liminf(vs: ValidatedScheme) -> Num:
@@ -453,11 +439,7 @@ def lambda_clusters(vs: ValidatedScheme) -> LambdaReport:
         else:
             groups[key][0].append(labels[k])
             groups[key][1].append(dev)
-    points = _merge_points(raw, vs.mode)
-    liminf = min((p.value for p in points), default=None)
-    report = ClusterReport(points, liminf,
-                           contains_zero=any(p.value <= ZERO_FLAG_TOL for p in points),
-                           note="cluster values of the lambda sequence")
+    report = _cluster_report(raw, vs.mode, "cluster values of the lambda sequence")
     out = tuple(LambdaGroup(limit, tuple(cs), tuple(ds))
                 for limit, (cs, ds) in sorted(groups.items(), key=lambda t: float(t[0])))
     return LambdaReport(report, out, ignored)

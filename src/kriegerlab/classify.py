@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exact import FLOAT, RATIONAL, Num, format_scalar, is_exact
+from .exact import FLOAT, RATIONAL, Num, _numerators, format_scalar, is_exact
 from .asymptotics import (
     DIVERGENT, INCONCLUSIVE, SUMMABLE,
-    SeriesDescriptor, SeriesPart, SummabilityVerdict, Term,
+    SeriesPart, SummabilityVerdict, Term,
     cluster_set_M_F, inf_liminf, lambda_clusters, summability,
     union_cluster_report,
 )
@@ -125,8 +125,7 @@ def ratio_defect(weights, c: Num) -> Num:
 
 
 def _ratio_defect_exact(weights, c: Fraction) -> Fraction:
-    lcm = math.lcm(*(w.denominator for w in weights))
-    ns = [w.numerator * (lcm // w.denominator) for w in weights]
+    lcm, ns = _numerators(weights)
     a, b = c.numerator, c.denominator
     uncapped = []               # (sum over uncapped i of N_i (N_i - N_j)**2, N_j)
     capped = 0                  # sum over capped pairs of N_i N_j
@@ -271,7 +270,7 @@ def _series_verdict(vs: ValidatedScheme, series: int, per_vector,
             vectors = [tpl.weights_at(n, cls.indices.position_of(n), vs.mode)
                        for n in cls.indices.members]
             parts.append(_finite_part(label, vectors, per_vector))
-    return summability(SeriesDescriptor(tuple(parts)))
+    return summability(tuple(parts))
 
 
 def test_type_I(vs: ValidatedScheme) -> SummabilityVerdict:
@@ -334,31 +333,44 @@ def _ratio_defect_geometric_tail(tpl: GeometricTail, c: Num, mode: str) -> Num:
 
 
 # ---------------------------------------------------------------------------
-# pure decision helpers (shared by the classifier and certificate replay)
+# type-III subtype branches: each builds its evidence dict first and decides
+# from it, and replay runs the same decider on the recorded dict
 
-def _decide_unbounded(zero_cluster: bool, liminf_zero: bool, group_kind: Optional[str]):
-    if zero_cluster or liminf_zero:
-        fired = "unbounded-liminf-zero" if liminf_zero else "unbounded-zero-cluster"
+def _group_kind(ev: dict) -> Optional[str]:
+    group = ev.get("group")
+    return None if group is None else group["kind"]
+
+
+def _decide_unbounded(ev: dict):
+    if ev["zero_cluster"] or ev["inf_liminf_zero"]:
+        fired = "unbounded-liminf-zero" if ev["inf_liminf_zero"] else "unbounded-zero-cluster"
         return LABEL_III_1, fired
-    if group_kind == DENSE:
+    if _group_kind(ev) == DENSE:
         return LABEL_III_1, "unbounded-dense-group"
-    if group_kind == CYCLIC:
+    if _group_kind(ev) == CYCLIC:
         return LABEL_III_LAMBDA, "unbounded-cyclic-group"
     return LABEL_III_0, "unbounded-trivial-group"
 
 
-def _decide_two_point(zero_one: bool, eps_verdicts, group_kind: Optional[str]):
-    if zero_one:
+def _decide_two_point(ev: dict):
+    verdicts = [e["series"]["verdict"] for e in ev["eps_verdicts"]]
+    if ev["zero_one"]:
         return LABEL_III_0, "two-point-lambda-set-zero-one"
-    if any(v == DIVERGENT for v in eps_verdicts):
+    if DIVERGENT in verdicts:
         return LABEL_III_1, "two-point-deviations-divergent"
-    if any(v == INCONCLUSIVE for v in eps_verdicts):
+    if INCONCLUSIVE in verdicts:
         return LABEL_INCONCLUSIVE, "two-point-deviations-inconclusive"
-    if group_kind == DENSE:
+    if _group_kind(ev) == DENSE:
         return LABEL_III_1, "two-point-dense-group"
-    if group_kind == CYCLIC:
+    if _group_kind(ev) == CYCLIC:
         return LABEL_III_LAMBDA, "two-point-cyclic-group"
+    if not verdicts:            # one deviation verdict per non-zero cluster value
+        return LABEL_INCONCLUSIVE, "two-point-lambda-only-zero"
     return LABEL_INCONCLUSIVE, "two-point-trivial-group-contradiction"
+
+
+# the decider of each type-III branch, by its evidence key
+_BRANCHES = {"unbounded": _decide_unbounded, "two_point": _decide_two_point}
 
 
 def _is_zero_limit(value: Num, mode: str) -> bool:
@@ -367,8 +379,27 @@ def _is_zero_limit(value: Num, mode: str) -> bool:
     return abs(float(value)) <= 1e-9
 
 
-# ---------------------------------------------------------------------------
-# type-III subtype branches
+def _divergent_type_III(vs: ValidatedScheme, c: Num,
+                        pretested: Optional[SummabilityVerdict]) -> SummabilityVerdict:
+    """The type-III series verdict a subtype branch starts from; it must diverge."""
+    type3 = pretested if pretested is not None else test_type_III(vs, c)
+    if type3.inconclusive:
+        raise InconclusiveEvidence("type-III membership is inconclusive")
+    if not type3.divergent:
+        raise BranchError("the scheme is not type III")
+    return type3
+
+
+def _branch_verdict(vs, c, type3, branch: str, ev: dict, group, warnings,
+                    notes) -> TypeVerdict:
+    label, fired = _BRANCHES[branch](ev)
+    cert = Certificate(
+        fired=("type-III-series-divergent", fired),
+        mode=vs.mode, c_parameter=c, warnings=tuple(warnings),
+        evidence={"type_III": type3.to_dict(), "branch": branch, branch: ev},
+        notes=notes)
+    return TypeVerdict(label, group.generator if label == LABEL_III_LAMBDA else None, cert)
+
 
 def classify_III_unbounded(vs: ValidatedScheme, c: Num = Fraction(1),
                            _pretested: Optional[SummabilityVerdict] = None) -> TypeVerdict:
@@ -377,42 +408,28 @@ def classify_III_unbounded(vs: ValidatedScheme, c: Num = Fraction(1),
         raise BranchError(
             f"alphabet sizes are bounded by {vs.limsup_alphabet()}; "
             "this branch needs unbounded sizes")
-    type3 = _pretested if _pretested is not None else test_type_III(vs, c)
-    if type3.inconclusive:
-        raise InconclusiveEvidence("type-III membership is inconclusive")
-    if not type3.divergent:
-        raise BranchError("the scheme is not type III")
+    type3 = _divergent_type_III(vs, c, _pretested)
     il = inf_liminf(vs)
     liminf_zero = _is_zero_limit(il, vs.mode)
     union = union_cluster_report(vs)
-    values = [v for v in union.values(recurring_only=True)]
+    values = union.values(recurring_only=True)
     zero_cluster = union.unbounded or any(_is_zero_limit(v, vs.mode) for v in values)
     group = None
     if not (zero_cluster or liminf_zero):
         group = mult_group([v for v in values if not _is_zero_limit(v, vs.mode)])
-    label, fired = _decide_unbounded(zero_cluster, liminf_zero,
-                                     None if group is None else group.kind)
-    lam = group.generator if label == LABEL_III_LAMBDA else None
-    evidence = {
-        "type_III": type3.to_dict(),
-        "branch": "unbounded",
-        "unbounded": {
-            "inf_liminf": format_scalar(il),
-            "inf_liminf_zero": liminf_zero,
-            "zero_cluster": zero_cluster,
-            "cluster_report": union.to_dict(),
-            "transient_report": cluster_set_M_F(vs).to_dict(),
-            "group": None if group is None else group.to_dict(),
-        },
+    ev = {
+        "inf_liminf": format_scalar(il),
+        "inf_liminf_zero": liminf_zero,
+        "zero_cluster": zero_cluster,
+        "cluster_report": union.to_dict(),
+        "transient_report": cluster_set_M_F(vs).to_dict(),
+        "group": None if group is None else group.to_dict(),
     }
-    cert = Certificate(
-        fired=("type-III-series-divergent", fired),
-        mode=vs.mode, c_parameter=c, warnings=(),
-        evidence=evidence,
-        notes=("symbol 0 (ratios identically 1) is excluded from cluster sets",
-               "transient-symbol ratio groups are reported but, being finite data, "
-               "contribute no cluster points"))
-    return TypeVerdict(label, lam, cert)
+    return _branch_verdict(
+        vs, c, type3, "unbounded", ev, group, (),
+        ("symbol 0 (ratios identically 1) is excluded from cluster sets",
+         "transient-symbol ratio groups are reported but, being finite data, "
+         "contribute no cluster points"))
 
 
 def classify_III_two_point(vs: ValidatedScheme, c: Num = Fraction(1),
@@ -424,11 +441,7 @@ def classify_III_two_point(vs: ValidatedScheme, c: Num = Fraction(1),
     """
     if not vs.all_two_point():
         raise BranchError("some infinite class is not two-point")
-    type3 = _pretested if _pretested is not None else test_type_III(vs, c)
-    if type3.inconclusive:
-        raise InconclusiveEvidence("type-III membership is inconclusive")
-    if not type3.divergent:
-        raise BranchError("the scheme is not type III")
+    type3 = _divergent_type_III(vs, c, _pretested)
     lr = lambda_clusters(vs)
     limits = lr.limits()
     zero_limits = [t for t in limits if _is_zero_limit(t, vs.mode)]
@@ -452,7 +465,7 @@ def classify_III_two_point(vs: ValidatedScheme, c: Num = Fraction(1),
             k = int(label[1:]) - 1
             parts.append(SeriesPart(label, vs.classes[k].indices,
                                     Term.from_deviation(dev, exact=True)))
-        eps_verdicts[group.limit] = summability(SeriesDescriptor(tuple(parts)))
+        eps_verdicts[group.limit] = summability(tuple(parts))
 
     if zero_one:
         divergent_at = [str(format_scalar(t)) for t, v in eps_verdicts.items()
@@ -465,8 +478,7 @@ def classify_III_two_point(vs: ValidatedScheme, c: Num = Fraction(1),
                 "documented decision order")
 
     group_struct = None
-    verdict_strings = [v.verdict for v in eps_verdicts.values()]
-    if not zero_one and not any(v != SUMMABLE for v in verdict_strings):
+    if not zero_one and all(v.summable for v in eps_verdicts.values()):
         if nonzero:
             group_struct = mult_group(nonzero)
             if group_struct.kind == TRIVIAL:
@@ -479,37 +491,37 @@ def classify_III_two_point(vs: ValidatedScheme, c: Num = Fraction(1),
                 "ambiguous-zero-in-lambda-set: the lambda sequence clusters only "
                 "at 0; no group criterion applies")
 
-    label, fired = _decide_two_point(
-        zero_one, verdict_strings,
-        None if group_struct is None else group_struct.kind)
-    if label == LABEL_INCONCLUSIVE and not nonzero and not zero_one:
-        fired = "two-point-lambda-only-zero"
-    lam = group_struct.generator if label == LABEL_III_LAMBDA else None
-    evidence = {
-        "type_III": type3.to_dict(),
-        "branch": "two_point",
-        "two_point": {
-            "lambda_report": lr.to_dict(),
-            "lambda_set": [format_scalar(t) for t in limits],
-            "zero_one": zero_one,
-            "eps_verdicts": [{"limit": format_scalar(t), "series": v.to_dict()}
-                             for t, v in eps_verdicts.items()],
-            "group": None if group_struct is None else group_struct.to_dict(),
-        },
+    ev = {
+        "lambda_report": lr.to_dict(),
+        "lambda_set": [format_scalar(t) for t in limits],
+        "zero_one": zero_one,
+        "eps_verdicts": [{"limit": format_scalar(t), "series": v.to_dict()}
+                         for t, v in eps_verdicts.items()],
+        "group": None if group_struct is None else group_struct.to_dict(),
     }
-    cert = Certificate(
-        fired=("type-III-series-divergent", fired),
-        mode=vs.mode, c_parameter=c, warnings=tuple(warnings),
-        evidence=evidence,
-        notes=("deviation summability stands in for the multiplicative deviation "
-               "of the lambda sequence; the two are comparable for every "
-               "supported form",
-               f"{lr.ignored_prefix} finitely-covered coordinates ignored"))
-    return TypeVerdict(label, lam, cert)
+    return _branch_verdict(
+        vs, c, type3, "two_point", ev, group_struct, warnings,
+        ("deviation summability stands in for the multiplicative deviation "
+         "of the lambda sequence; the two are comparable for every "
+         "supported form",
+         f"{lr.ignored_prefix} finitely-covered coordinates ignored"))
 
 
 # ---------------------------------------------------------------------------
 # the complete pipeline
+
+# The series tests in decision order: (evidence key, certificate name, label
+# of a summable series).  A divergent type-III series goes on to a branch.
+_CHAIN = (("type_I", "type-I", LABEL_I_INF),
+          ("type_II1", "type-II1", LABEL_II_1),
+          ("type_III", "type-III", LABEL_II_INF))
+
+
+def _series_test(key: str, vs: ValidatedScheme, c: Num) -> SummabilityVerdict:
+    # looked up at call time, so a wrapper put on the module attribute sees the call
+    test = globals()["test_" + key]
+    return test(vs, c) if key == "type_III" else test(vs)
+
 
 def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> TypeVerdict:
     """Assign a type label with a replayable certificate.
@@ -520,68 +532,45 @@ def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> 
     ``inconclusive`` label with the blocking evidence recorded.
     """
     vs = spec if isinstance(spec, ValidatedScheme) else validate(normalize(spec).spec)
-
-    type1 = test_type_I(vs)
-    evidence = {"type_I": type1.to_dict()}
     notes = ("normalized before classification",
              "every alphabet has at least two symbols, so a type-I scheme "
              "has infinitely many atoms")
-    if type1.inconclusive:
-        return _inconclusive(vs, c, evidence, "type-I-series-inconclusive")
-    if type1.summable:
-        cert = Certificate(("type-I-series-summable",), vs.mode, c, (), evidence, notes)
-        return TypeVerdict(LABEL_I_INF, None, cert)
+    evidence, fired = {}, ()
+    for key, name, label in _CHAIN:
+        verdict = _series_test(key, vs, c)
+        evidence[key] = verdict.to_dict()
+        if verdict.inconclusive:
+            cert = Certificate((f"{name}-series-inconclusive",), vs.mode, c,
+                               ("a series verdict is inconclusive; no label can be "
+                                "assigned from the rule table",),
+                               evidence)
+            return TypeVerdict(LABEL_INCONCLUSIVE, None, cert)
+        if verdict.summable:
+            fired += (f"{name}-series-summable",)
+            if label == LABEL_II_INF:
+                fired += ("II-infinity-by-elimination",)
+            return TypeVerdict(label, None, Certificate(fired, vs.mode, c, (), evidence, notes))
+        fired += (f"{name}-series-divergent",)
 
-    type2 = test_type_II1(vs)
-    evidence["type_II1"] = type2.to_dict()
-    if type2.inconclusive:
-        return _inconclusive(vs, c, evidence, "type-II1-series-inconclusive")
-    if type2.summable:
-        cert = Certificate(("type-I-series-divergent", "type-II1-series-summable"),
-                           vs.mode, c, (), evidence, notes)
-        return TypeVerdict(LABEL_II_1, None, cert)
-
-    type3 = test_type_III(vs, c)
-    evidence["type_III"] = type3.to_dict()
-    if type3.inconclusive:
-        return _inconclusive(vs, c, evidence, "type-III-series-inconclusive")
-    if type3.summable:
-        cert = Certificate(
-            ("type-I-series-divergent", "type-II1-series-divergent",
-             "type-III-series-summable", "II-infinity-by-elimination"),
-            vs.mode, c, (), evidence, notes)
-        return TypeVerdict(LABEL_II_INF, None, cert)
-
-    prelude = ("type-I-series-divergent", "type-II1-series-divergent")
     if vs.limsup_alphabet() is None:
-        sub = classify_III_unbounded(vs, c, _pretested=type3)
+        sub = classify_III_unbounded(vs, c, _pretested=verdict)
     elif vs.all_two_point():
-        sub = classify_III_two_point(vs, c, _pretested=type3)
+        sub = classify_III_two_point(vs, c, _pretested=verdict)
     else:
         evidence["branch"] = "bounded_multisymbol"
         cert = Certificate(
-            prelude + ("type-III-series-divergent", "bounded-multisymbol-unresolved"),
-            vs.mode, c,
+            fired + ("bounded-multisymbol-unresolved",), vs.mode, c,
             ("bounded alphabets with more than two symbols: such a scheme is "
              "isomorphic to a two-point one, but the reduction is not "
              "constructive here; rebuild the spec with two-point templates",),
             evidence, notes)
         return TypeVerdict(LABEL_INCONCLUSIVE, None, cert)
 
-    merged_evidence = dict(evidence)
-    merged_evidence.update(sub.certificate.evidence)
-    cert = Certificate(prelude + sub.certificate.fired, vs.mode, c,
-                       sub.certificate.warnings, merged_evidence,
+    # the branch's certificate repeats "type-III-series-divergent" first
+    cert = Certificate(fired[:-1] + sub.certificate.fired, vs.mode, c,
+                       sub.certificate.warnings, {**evidence, **sub.certificate.evidence},
                        notes + sub.certificate.notes)
     return TypeVerdict(sub.label, sub.lam, cert)
-
-
-def _inconclusive(vs, c, evidence, fired) -> TypeVerdict:
-    cert = Certificate((fired,), vs.mode, c,
-                       ("a series verdict is inconclusive; no label can be "
-                        "assigned from the rule table",),
-                       evidence)
-    return TypeVerdict(LABEL_INCONCLUSIVE, None, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -590,41 +579,21 @@ def _inconclusive(vs, c, evidence, fired) -> TypeVerdict:
 def replay(verdict_dict: dict) -> tuple:
     """Recompute (label, lambda) from a serialized verdict's evidence only.
 
-    The replay never sees the spec: it re-runs the decision tree on the
-    stored verdicts, so a tampered certificate that does not support its
-    label is detected by comparing the outputs.
+    The replay never sees the spec: it walks the same decision table and
+    runs the same branch deciders on the stored evidence, so a tampered
+    certificate that does not support its label is detected by comparing
+    the outputs.
     """
     ev = verdict_dict["certificate"]["evidence"]
-    v1 = ev["type_I"]["verdict"]
-    if v1 == INCONCLUSIVE:
+    for key, _, label in _CHAIN:
+        verdict = ev[key]["verdict"]
+        if verdict == INCONCLUSIVE:
+            return LABEL_INCONCLUSIVE, None
+        if verdict == SUMMABLE:
+            return label, None
+    decide = _BRANCHES.get(ev.get("branch"))
+    if decide is None:
         return LABEL_INCONCLUSIVE, None
-    if v1 == SUMMABLE:
-        return LABEL_I_INF, None
-    v2 = ev["type_II1"]["verdict"]
-    if v2 == INCONCLUSIVE:
-        return LABEL_INCONCLUSIVE, None
-    if v2 == SUMMABLE:
-        return LABEL_II_1, None
-    v3 = ev["type_III"]["verdict"]
-    if v3 == INCONCLUSIVE:
-        return LABEL_INCONCLUSIVE, None
-    if v3 == SUMMABLE:
-        return LABEL_II_INF, None
-    branch = ev.get("branch")
-    if branch == "unbounded":
-        u = ev["unbounded"]
-        group = u.get("group")
-        label, _ = _decide_unbounded(u["zero_cluster"], u["inf_liminf_zero"],
-                                     None if group is None else group["kind"])
-        lam = group["generator"] if label == LABEL_III_LAMBDA else None
-        return label, lam
-    if branch == "two_point":
-        t = ev["two_point"]
-        group = t.get("group")
-        label, _ = _decide_two_point(
-            t["zero_one"],
-            [e["series"]["verdict"] for e in t["eps_verdicts"]],
-            None if group is None else group["kind"])
-        lam = group["generator"] if label == LABEL_III_LAMBDA else None
-        return label, lam
-    return LABEL_INCONCLUSIVE, None
+    branch = ev[ev["branch"]]
+    label, _ = decide(branch)
+    return label, branch["group"]["generator"] if label == LABEL_III_LAMBDA else None

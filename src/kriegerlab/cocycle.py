@@ -25,7 +25,7 @@ from itertools import accumulate, cycle
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-from .exact import RATIONAL, Num, format_scalar, is_exact
+from .exact import RATIONAL, Num, _numerators, format_scalar, is_exact
 from .scheme import SpecError, ValidatedScheme, truncate_alphabet
 
 DEFAULT_STATE_CAP = 10 ** 8
@@ -203,12 +203,6 @@ def _ratio_moves(weights) -> list:
         for wj, j in first.items():
             out.setdefault(wj / wi, (i, j))
     return sorted(out.items())
-
-
-def _numerators(weights) -> tuple:
-    """(L, N): L the lcm of the weight denominators and N[i] = L * weights[i]."""
-    lcm = math.lcm(*(w.denominator for w in weights))
-    return lcm, [w.numerator * (lcm // w.denominator) for w in weights]
 
 
 def _moves(weights) -> tuple:

@@ -9,6 +9,7 @@ certificate derived from it.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 from typing import Union
@@ -77,6 +78,12 @@ def as_mode(x: Num, mode: str) -> Num:
 
 def is_exact(x: Num) -> bool:
     return isinstance(x, (Fraction, int))
+
+
+def _numerators(weights) -> tuple:
+    """(L, N) for exact weights: L the lcm of the denominators, N[i] = L * weights[i]."""
+    lcm = math.lcm(*(w.denominator for w in weights))
+    return lcm, [w.numerator * (lcm // w.denominator) for w in weights]
 
 
 def check_mode(mode: str) -> str:

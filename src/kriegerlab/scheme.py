@@ -315,7 +315,8 @@ class GeometricTail:
 
     def weights_at(self, n: int, pos: int, mode: str):
         raise InfiniteAlphabet(
-            "geometric tail alphabet is infinite; use truncate_alphabet")
+            "a geometric_tail alphabet is infinite, but the series tests need finite "
+            "alphabets on finite classes; give those coordinates explicit weights")
 
     def ratio_limit(self, i: int) -> Num:
         return _div(self.weight(i), self.base[0])
@@ -439,11 +440,7 @@ class TwoPoint:
             if self.form == TP_WEIGHT:
                 # weight vector (1-eps, eps) keeps symbol 0 maximal iff eps <= 1/2;
                 # deviations are decreasing in n, checking the first index suffices
-                first = self.deviation.coeff * (
-                    self.deviation.rho if self.deviation.family == GEOMETRIC else 1)
-                if self.deviation.family == POWER:
-                    first = self.deviation.coeff
-                if first > Fraction(1, 2):
+                if self.deviation.at(1, 0) > Fraction(1, 2):
                     raise NotNormalized(
                         "two-point weight form needs eps_n <= 1/2 at every coordinate")
         else:
@@ -936,9 +933,7 @@ def truncate_alphabet(vs: ValidatedScheme, n: int, delta) -> TruncatedAlphabet:
             raise NonPositiveWeight(f"a weight of coordinate {n} underflows to 0 "
                                     "in float mode; use rational mode")
         return TruncatedAlphabet(w, sum(w), True)
-    tpl = vs.classes[where].template
-    if tpl.kind != "geometric_tail":
-        raise BudgetUnreachable(f"cannot enumerate template {tpl.describe()}")
+    tpl = vs.classes[where].template         # a geometric tail, the one infinite alphabet
     target = 1 - as_mode(delta, vs.mode)
     if vs.mode == RATIONAL:
         return _truncate_rational_tail(tpl, target)

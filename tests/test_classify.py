@@ -463,10 +463,15 @@ def test_unbounded_trivial_group_decision_path():
     # always contributes a cluster point below 1), so the decision function
     # is exercised directly on synthetic evidence
     from kriegerlab.classify import _decide_unbounded
-    assert _decide_unbounded(False, False, "trivial") == ("III_0", "unbounded-trivial-group")
-    assert _decide_unbounded(False, False, "dense") == ("III_1", "unbounded-dense-group")
-    assert _decide_unbounded(True, False, None) == ("III_1", "unbounded-zero-cluster")
-    assert _decide_unbounded(False, True, None) == ("III_1", "unbounded-liminf-zero")
+
+    def evidence(zero_cluster, liminf_zero, kind):
+        return {"zero_cluster": zero_cluster, "inf_liminf_zero": liminf_zero,
+                "group": None if kind is None else {"kind": kind}}
+
+    assert _decide_unbounded(evidence(False, False, "trivial")) == ("III_0", "unbounded-trivial-group")
+    assert _decide_unbounded(evidence(False, False, "dense")) == ("III_1", "unbounded-dense-group")
+    assert _decide_unbounded(evidence(True, False, None)) == ("III_1", "unbounded-zero-cluster")
+    assert _decide_unbounded(evidence(False, True, None)) == ("III_1", "unbounded-liminf-zero")
 
 
 def test_mixed_infinite_alphabet_with_two_point_class():

@@ -357,3 +357,21 @@ def test_float_witness_skips_block_values_that_underflow(tmp_path, capsys):
                            "--max-block", "4", "--start", "10")
     assert code == 2
     assert "no witness in scope" in out
+
+
+def test_geometric_tail_on_a_finite_class_is_an_input_error(tmp_path, capsys):
+    # the series tests sum a finite class's weight vectors, which a
+    # geometric tail does not have; sampling truncates it and runs
+    path = tmp_path / "finite_tail.spec"
+    path.write_text(json.dumps({
+        "mode": "rational",
+        "classes": [{"indices": {"list": [1]},
+                     "template": {"kind": "geometric_tail", "base": ["1/2"],
+                                  "ratio": "1/2"}},
+                    {"indices": {"start": 2, "step": 1},
+                     "template": {"kind": "explicit", "weights": ["1/2", "1/2"]}}]}))
+    for command in ("classify", "report"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert "the series tests need finite alphabets on finite classes" in err
+    assert run_cli(capsys, "sample", str(path), "--samples", "5", "--window", "4")[0] == 0

@@ -232,13 +232,26 @@ def test_high_prime_power_exponents_are_fast():
     assert elapsed < 0.5
 
 
+class _CountingInt(int):
+    """An int that counts the floor divisions it is the dividend of."""
+
+    divisions = 0
+
+    def __floordiv__(self, other):
+        _CountingInt.divisions += 1
+        return int(self) // other
+
+
 def test_wide_non_power_has_a_fast_primitive_root():
     # every prime k up to the bit length is tried: each costs a float
-    # estimate, and Newton only where the root is wide
-    n = 2 * 3 ** 10000
-    start = time.perf_counter()
+    # estimate, and Newton only where the root is wide.  The work is the
+    # number of Newton divisions n // r**(k-1): a few hundred from the float
+    # estimate, tens of thousands from 1 << ceil(bits / k) (as in
+    # _reference_primitive_root)
+    n = _CountingInt(2 * 3 ** 10000)
+    _CountingInt.divisions = 0
     assert _primitive_root(n) == n
-    assert time.perf_counter() - start < 0.5
+    assert 0 < _CountingInt.divisions < 1000
 
 
 def _reference_primitive_root(n: int) -> int:
