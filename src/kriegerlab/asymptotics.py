@@ -15,8 +15,7 @@ from typing import Optional
 
 from .exact import RATIONAL, Num, format_scalar, is_exact
 from .scheme import (
-    Deviation, ExplicitWeights, GEOMETRIC, Indices, POWER, Perturbed,
-    SpecError, TwoPoint, ValidatedScheme, ZERO, ZERO_DEVIATION, _div,
+    Deviation, GEOMETRIC, Indices, POWER, SpecError, ValidatedScheme, ZERO, _div,
 )
 
 FINITE_CLUSTER_TOL = 1e-9
@@ -232,6 +231,12 @@ class ClusterReport:
         return tuple(p.value for p in self.points
                      if p.recurring or not recurring_only)
 
+    def inf_liminf(self) -> Num:
+        """Infimum over the ratio sequences of their liminf: 0 on an
+        unbounded report (the tail ratios vanish over the symbol index),
+        otherwise the least cluster point."""
+        return Fraction(0) if self.unbounded else self.liminf
+
     def to_dict(self):
         return {"points": [p.to_dict() for p in self.points],
                 "liminf": None if self.liminf is None else format_scalar(self.liminf),
@@ -241,23 +246,24 @@ class ClusterReport:
 
 
 def _merge_points(raw, mode: str):
-    """Group (value, witness, recurring) triples into cluster points.
+    """Group (value, witness, recurring) triples into cluster points, in
+    increasing order of their floats.
 
-    Rational mode groups by exact equality; float mode merges values
-    within 1e-9.
+    Rational mode groups by exact equality, so distinct rationals that
+    share a float stay apart and each stays one point.  Float mode merges each value into the
+    point of the smallest value within 1e-9 below it, so a point carries
+    the smallest value it merged, whatever the order of ``raw``.
     """
-    out = []
+    points = {}                 # point value -> [witnesses, recurring]
+    anchor = None
     for value, witness, recurring in sorted(raw, key=lambda t: float(t[0])):
-        if out:
-            prev = out[-1]
-            same = (value == prev[0]) if mode == RATIONAL \
-                else abs(float(value) - float(prev[0])) <= FINITE_CLUSTER_TOL
-            if same:
-                prev[1].append(witness)
-                prev[2] = prev[2] or recurring
-                continue
-        out.append([value, [witness], recurring])
-    return tuple(ClusterPoint(v, tuple(dict.fromkeys(w)), r) for v, w, r in out)
+        if mode == RATIONAL or anchor is None \
+                or abs(float(value) - float(anchor)) > FINITE_CLUSTER_TOL:
+            anchor = value
+        point = points.setdefault(anchor, [[], False])
+        point[0].append(witness)
+        point[1] = point[1] or recurring
+    return tuple(ClusterPoint(v, tuple(dict.fromkeys(w)), r) for v, (w, r) in points.items())
 
 
 def _cluster_report(raw, mode: str, note: str) -> ClusterReport:
@@ -351,20 +357,9 @@ def union_cluster_report(vs: ValidatedScheme) -> ClusterReport:
 
 
 def inf_liminf(vs: ValidatedScheme) -> Num:
-    """Infimum over recurring symbols of the liminf of each ratio sequence.
-
-    Infinite alphabets drive this to 0 (the tail ratios vanish over the
-    symbol index); finite alphabets give the minimum cluster point.
-    Symbol 0 (ratios identically 1) is excluded.
-    """
-    best = None
-    for _, cls in vs.infinite_classes():
-        v = cls.template.liminf_ratios()
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise SpecError("no infinite class")
-    return best
+    """Infimum over recurring symbols i >= 1 of the liminf of each ratio
+    sequence, read off the union report."""
+    return union_cluster_report(vs).inf_liminf()
 
 
 # ---------------------------------------------------------------------------
@@ -400,46 +395,27 @@ class LambdaReport:
                 "ignored_prefix": self.ignored_prefix}
 
 
-def _two_point_limit_and_deviation(tpl) -> tuple:
-    if isinstance(tpl, TwoPoint):
-        return tpl.lam_limit(), tpl.deviation
-    if isinstance(tpl, ExplicitWeights) and len(tpl.weights) == 2:
-        return _div(tpl.weights[1], tpl.weights[0]), ZERO_DEVIATION
-    if isinstance(tpl, Perturbed) and len(tpl.limit) == 2:
-        return _div(tpl.limit[1], tpl.limit[0]), tpl.deviation
-    raise NotTwoPoint(f"template {tpl.describe()} is not two-point")
-
-
 def lambda_clusters(vs: ValidatedScheme) -> LambdaReport:
     """Cluster values of lambda_n = mu_n(1)/mu_n(0) with the class partition.
 
-    Requires every infinite class to be two-point.  Prefix coordinates
-    and finite classes are finitely many and cannot create cluster
-    values; they are ignored and counted in ``ignored_prefix``.
+    Requires every infinite class to be two-point.  Each group is one
+    merged point of the cluster report, with its classes' deviations.
+    Prefix coordinates and finite classes are finitely many and cannot
+    create cluster values; they are ignored and counted in
+    ``ignored_prefix``.
     """
     ignored = len(vs.prefix)
-    groups = {}
     labels = vs.class_labels()
-    raw = []
+    raw, deviations = [], {}
     for k, cls in enumerate(vs.classes):
         if not cls.indices.infinite:
             ignored += len(cls.indices.members)
             continue
-        limit, dev = _two_point_limit_and_deviation(cls.template)
-        raw.append((limit, labels[k], True))
-        key = None
-        for existing in groups:
-            same = (existing == limit) if vs.mode == RATIONAL \
-                else abs(float(existing) - float(limit)) <= FINITE_CLUSTER_TOL
-            if same:
-                key = existing
-                break
-        if key is None:
-            groups[limit] = ([labels[k]], [dev])
-        else:
-            groups[key][0].append(labels[k])
-            groups[key][1].append(dev)
+        if cls.template.max_alphabet() != 2:
+            raise NotTwoPoint(f"template {cls.template.describe()} is not two-point")
+        raw.append((cls.template.ratio_limit(1), labels[k], True))
+        deviations[labels[k]] = cls.template.deviation
     report = _cluster_report(raw, vs.mode, "cluster values of the lambda sequence")
-    out = tuple(LambdaGroup(limit, tuple(cs), tuple(ds))
-                for limit, (cs, ds) in sorted(groups.items(), key=lambda t: float(t[0])))
-    return LambdaReport(report, out, ignored)
+    groups = tuple(LambdaGroup(p.value, p.witnesses, tuple(deviations[w] for w in p.witnesses))
+                   for p in report.points)
+    return LambdaReport(report, groups, ignored)

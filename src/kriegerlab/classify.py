@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exact import FLOAT, RATIONAL, Num, _numerators, format_scalar, is_exact
+from .exact import RATIONAL, Num, _numerators, format_scalar, is_exact
 from .asymptotics import (
     DIVERGENT, INCONCLUSIVE, SUMMABLE,
     SeriesPart, SummabilityVerdict, Term,
-    cluster_set_M_F, inf_liminf, lambda_clusters, summability,
-    union_cluster_report,
+    cluster_set_M_F, lambda_clusters, summability, union_cluster_report,
 )
 from .groups import CYCLIC, DENSE, TRIVIAL, mult_group
 from .scheme import (
@@ -341,9 +340,24 @@ def _group_kind(ev: dict) -> Optional[str]:
     return None if group is None else group["kind"]
 
 
+def _is_limit(printed, target: int) -> bool:
+    """Whether a printed cluster value is ``target`` (0 or 1): a rational's
+    string exactly, a float within 1e-9.  The flags a branch records and
+    the deciders that replay them both go through here."""
+    if isinstance(printed, str):
+        return printed == str(target)
+    return abs(printed - target) <= 1e-9
+
+
+def _zero_one(lambda_set) -> bool:
+    return len(lambda_set) == 2 and any(_is_limit(t, 0) for t in lambda_set) \
+        and any(_is_limit(t, 1) for t in lambda_set)
+
+
 def _decide_unbounded(ev: dict):
-    if ev["zero_cluster"] or ev["inf_liminf_zero"]:
-        fired = "unbounded-liminf-zero" if ev["inf_liminf_zero"] else "unbounded-zero-cluster"
+    liminf_zero = _is_limit(ev["inf_liminf"], 0)
+    if ev["zero_cluster"] or liminf_zero:
+        fired = "unbounded-liminf-zero" if liminf_zero else "unbounded-zero-cluster"
         return LABEL_III_1, fired
     if _group_kind(ev) == DENSE:
         return LABEL_III_1, "unbounded-dense-group"
@@ -354,7 +368,7 @@ def _decide_unbounded(ev: dict):
 
 def _decide_two_point(ev: dict):
     verdicts = [e["series"]["verdict"] for e in ev["eps_verdicts"]]
-    if ev["zero_one"]:
+    if _zero_one(ev["lambda_set"]):
         return LABEL_III_0, "two-point-lambda-set-zero-one"
     if DIVERGENT in verdicts:
         return LABEL_III_1, "two-point-deviations-divergent"
@@ -371,12 +385,6 @@ def _decide_two_point(ev: dict):
 
 # the decider of each type-III branch, by its evidence key
 _BRANCHES = {"unbounded": _decide_unbounded, "two_point": _decide_two_point}
-
-
-def _is_zero_limit(value: Num, mode: str) -> bool:
-    if mode == RATIONAL:
-        return value == 0
-    return abs(float(value)) <= 1e-9
 
 
 def _divergent_type_III(vs: ValidatedScheme, c: Num,
@@ -409,16 +417,17 @@ def classify_III_unbounded(vs: ValidatedScheme, c: Num = Fraction(1),
             f"alphabet sizes are bounded by {vs.limsup_alphabet()}; "
             "this branch needs unbounded sizes")
     type3 = _divergent_type_III(vs, c, _pretested)
-    il = inf_liminf(vs)
-    liminf_zero = _is_zero_limit(il, vs.mode)
     union = union_cluster_report(vs)
+    il = format_scalar(union.inf_liminf())
+    liminf_zero = _is_limit(il, 0)
     values = union.values(recurring_only=True)
-    zero_cluster = union.unbounded or any(_is_zero_limit(v, vs.mode) for v in values)
+    nonzero = [v for v in values if not _is_limit(format_scalar(v), 0)]
+    zero_cluster = union.unbounded or len(nonzero) < len(values)
     group = None
     if not (zero_cluster or liminf_zero):
-        group = mult_group([v for v in values if not _is_zero_limit(v, vs.mode)])
+        group = mult_group(nonzero)
     ev = {
-        "inf_liminf": format_scalar(il),
+        "inf_liminf": il,
         "inf_liminf_zero": liminf_zero,
         "zero_cluster": zero_cluster,
         "cluster_report": union.to_dict(),
@@ -444,21 +453,19 @@ def classify_III_two_point(vs: ValidatedScheme, c: Num = Fraction(1),
     type3 = _divergent_type_III(vs, c, _pretested)
     lr = lambda_clusters(vs)
     limits = lr.limits()
-    zero_limits = [t for t in limits if _is_zero_limit(t, vs.mode)]
-    nonzero = [t for t in limits if not _is_zero_limit(t, vs.mode)]
-    one_present = any(t == 1 or (vs.mode == FLOAT and abs(float(t) - 1) <= 1e-9)
-                      for t in nonzero)
-    zero_one = bool(zero_limits) and one_present and len(limits) == 2
+    lambda_set = [format_scalar(t) for t in limits]
+    nonzero = [t for t, p in zip(limits, lambda_set) if not _is_limit(p, 0)]
+    zero_one = _zero_one(lambda_set)
 
     warnings = []
-    if zero_limits and set(map(float, nonzero)) - {1.0}:
+    if len(nonzero) < len(limits) and set(map(float, nonzero)) - {1.0}:
         warnings.append(
             "ambiguous-zero-in-lambda-set: 0 is a cluster value; the group is "
             "generated from the non-zero values only")
 
     eps_verdicts = {}
-    for group in lr.groups:
-        if _is_zero_limit(group.limit, vs.mode):
+    for group, printed in zip(lr.groups, lambda_set):
+        if _is_limit(printed, 0):
             continue
         parts = []
         for label, dev in zip(group.classes, group.deviations):
@@ -493,7 +500,7 @@ def classify_III_two_point(vs: ValidatedScheme, c: Num = Fraction(1),
 
     ev = {
         "lambda_report": lr.to_dict(),
-        "lambda_set": [format_scalar(t) for t in limits],
+        "lambda_set": lambda_set,
         "zero_one": zero_one,
         "eps_verdicts": [{"limit": format_scalar(t), "series": v.to_dict()}
                          for t, v in eps_verdicts.items()],

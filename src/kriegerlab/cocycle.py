@@ -20,6 +20,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, cycle
 from operator import mul
@@ -161,9 +162,6 @@ class Witness:
         target = Fraction(self.target) if is_exact(self.value) else self.target
         if not abs(self.value - target) < self.eps:
             raise SpecError("witness does not certify its target within eps")
-
-    def log_value(self) -> float:
-        return _log_of(self.value)
 
     def to_dict(self):
         return {"coordinates": list(self.coordinates),
@@ -463,12 +461,15 @@ class CocycleSampleSet:
     moves: tuple                 # (x word, y word) per sample
 
     def export_lines(self):
-        """Records ``index, log_D, D_num, D_den`` (num/den in rational mode)."""
+        """Records ``index, log_D, D_num, D_den`` (num/den in rational mode).
+
+        Through ``Decimal``: ``str(int)`` has a digit limit that ratios pass.
+        """
         lines = []
         for i, s in enumerate(self.log_values):
             if self.ratios is not None:
                 f = self.ratios[i]
-                lines.append(f"{i}, {s:.17g}, {f.numerator}, {f.denominator}")
+                lines.append(f"{i}, {s:.17g}, {Decimal(f.numerator)}, {Decimal(f.denominator)}")
             else:
                 lines.append(f"{i}, {s:.17g}")
         return lines
@@ -623,13 +624,14 @@ def lattice_detect(samples: Union[CocycleSampleSet, Iterable[float]],
 
 ZERO_BAND = 0.05
 FAR_BAND = 5.0
+GRID_DEPTH = 3                # witness-grid targets exp(-c k), k = 1..GRID_DEPTH
+GRID_EPS = 1e-3               # their eps, at most half the target
 
 
 def estimate_ratio_set(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
                        n_samples: int = 1000, window: int = 20,
                        start: int = 1000, delta: Num = DEFAULT_DELTA,
-                       tol: float = LATTICE_TOL, grid_eps: float = 1e-3,
-                       grid_depth: int = 3, search_block: int = 8) -> dict:
+                       tol: float = LATTICE_TOL, search_block: int = 8) -> dict:
     """Empirical subtype estimate from sampling plus witness probes.
 
     Heuristic, reported side by side with the analytic verdict and never
@@ -683,9 +685,9 @@ def estimate_ratio_set(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
     if label in ("III_lambda-like", "III_1-like"):
         c = lattice.period if (lattice is not None and lattice.kind == LATTICE) \
             else math.log(2.0)
-        for k in range(1, grid_depth + 1):
+        for k in range(1, GRID_DEPTH + 1):
             target = math.exp(-c * k)
-            eps = min(grid_eps, target / 2)
+            eps = min(GRID_EPS, target / 2)
             try:
                 w = witness_search(vs, target, eps, start=start,
                                    max_block=search_block, delta=delta)

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .exact import Num, format_scalar, is_exact
 
-DEFAULT_MAX_DENOMINATOR = 10 ** 6
+MAX_DENOMINATOR = 10 ** 6        # Q of the float path
 
 EXACT = "exact"
 BOUNDED = "bounded_denominator"
@@ -211,11 +211,10 @@ def _ln(x: Num) -> Decimal:
     return (Decimal(x.numerator) / x.denominator).ln()
 
 
-def commensurable(a: Num, b: Num,
-                  max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Optional[tuple]:
+def commensurable(a: Num, b: Num) -> Optional[tuple]:
     """Coprime (p, q) with log(a)/log(b) = p/q, or None.
 
-    None means "incommensurable up to max_denominator" on the float
+    None means "incommensurable up to MAX_DENOMINATOR" on the float
     path; on the exact path (both arguments rational) None is a proof
     of incommensurability.  Returned pairs always satisfy a**q = b**p.
     """
@@ -231,10 +230,10 @@ def commensurable(a: Num, b: Num,
             return None
         return (t.numerator, t.denominator)
     t = math.log(a) / math.log(b)
-    for p, q in convergents(t, max_denominator):
+    for p, q in convergents(t, MAX_DENOMINATOR):
         if p <= 0 or q <= 0:
             continue
-        if max(p, q) > max_denominator:
+        if max(p, q) > MAX_DENOMINATOR:
             break
         if _verify_power_equation(a, b, p, q):
             g = math.gcd(p, q)
@@ -254,7 +253,7 @@ def _strip_ones(points):
     return out
 
 
-def mult_group(points, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> GroupStructure:
+def mult_group(points) -> GroupStructure:
     """Structure of the closed multiplicative group generated by the points.
 
     Points must be a finite non-empty subset of (0,1].  A cyclic result
@@ -275,7 +274,7 @@ def mult_group(points, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> GroupS
                               ("all points equal 1",))
     if all(is_exact(x) for x in pts):
         return _mult_group_exact(pts)
-    return _mult_group_float([float(x) for x in pts], max_denominator)
+    return _mult_group_float([float(x) for x in pts])
 
 
 def _mult_group_exact(pts) -> GroupStructure:
@@ -309,16 +308,16 @@ def _mult_group_exact(pts) -> GroupStructure:
          f"{tuple(exponents)}, gcd {g}",))
 
 
-def _mult_group_float(pts, max_denominator: int) -> GroupStructure:
+def _mult_group_float(pts) -> GroupStructure:
     gen = pts[0]
     evidence = []
     for x in pts[1:]:
-        pair = commensurable(x, gen, max_denominator)
+        pair = commensurable(x, gen)
         if pair is None:
             return GroupStructure(
-                DENSE, None, BOUNDED, max_denominator,
+                DENSE, None, BOUNDED, MAX_DENOMINATOR,
                 (f"no convergent p/q of log({x})/log({gen}) with denominator <= "
-                 f"{max_denominator} satisfies the power equation",))
+                 f"{MAX_DENOMINATOR} satisfies the power equation",))
         p, q = pair
         evidence.append(f"log({x})/log({gen}) = {p}/{q}")
         gen = math.exp(math.log(gen) / q)
@@ -331,7 +330,7 @@ def _mult_group_float(pts, max_denominator: int) -> GroupStructure:
         k = round(math.log(x) / math.log(lam))
         if abs(x - lam ** k) > 1e-9:
             return GroupStructure(
-                DENSE, None, BOUNDED, max_denominator,
+                DENSE, None, BOUNDED, MAX_DENOMINATOR,
                 (f"generator verification failed for {x}",))
-    return GroupStructure(CYCLIC, lam, BOUNDED, max_denominator,
+    return GroupStructure(CYCLIC, lam, BOUNDED, MAX_DENOMINATOR,
                           tuple(evidence + [f"exponents {tuple(exponents)}, gcd {g}"]))

@@ -238,15 +238,13 @@ class ExplicitWeights:
     weights: tuple
 
     kind = "explicit"
+    deviation = ZERO_DEVIATION       # constant, like a zero-deviation two-point class
 
     def alphabet_size(self, pos: int = 0) -> int:
         return len(self.weights)
 
     def max_alphabet(self):
         return len(self.weights)
-
-    def needs_float(self) -> bool:
-        return False
 
     def total(self) -> Num:
         return sum(self.weights)
@@ -256,9 +254,6 @@ class ExplicitWeights:
 
     def ratio_limit(self, i: int) -> Num:
         return _div(self.weights[i], self.weights[0])
-
-    def liminf_ratios(self) -> Num:
-        return min(self.ratio_limit(i) for i in range(1, len(self.weights)))
 
     def check(self, mode: str):
         if len(self.weights) < 2:
@@ -300,9 +295,6 @@ class GeometricTail:
     def max_alphabet(self):
         return None
 
-    def needs_float(self) -> bool:
-        return False
-
     def total(self) -> Num:
         head = sum(self.base[:-1]) if len(self.base) > 1 else 0
         return head + _div(self.base[-1], (1 - self.ratio))
@@ -320,10 +312,6 @@ class GeometricTail:
 
     def ratio_limit(self, i: int) -> Num:
         return _div(self.weight(i), self.base[0])
-
-    def liminf_ratios(self) -> Num:
-        # tail ratios converge to zero over the symbol index
-        return Fraction(0)
 
     def check(self, mode: str):
         if not self.base:
@@ -418,9 +406,6 @@ class TwoPoint:
             return Fraction(1)
         return self.lam_limit()
 
-    def liminf_ratios(self) -> Num:
-        return self.lam_limit()
-
     def check(self, mode: str):
         if self.form == TP_CONST:
             if self.value is None or not (0 < self.value < 1):
@@ -507,9 +492,6 @@ class Perturbed:
     def ratio_limit(self, i: int) -> Num:
         return _div(self.limit[i], self.limit[0])
 
-    def liminf_ratios(self) -> Num:
-        return min(self.ratio_limit(i) for i in range(1, len(self.limit)))
-
     def check(self, mode: str):
         if len(self.limit) < 2:
             raise SpecError("alphabet size must be >= 2")
@@ -568,9 +550,6 @@ class CappedGeometric:
     def max_alphabet(self):
         return None  # unbounded (but every coordinate is finite)
 
-    def needs_float(self) -> bool:
-        return False
-
     def _norm(self, size: int) -> Num:
         head = min(size, self.cap)
         s = _div(1 - self.ratio ** head, 1 - self.ratio)
@@ -588,9 +567,6 @@ class CappedGeometric:
 
     def ratio_limit(self, i: int) -> Num:
         return self.ratio ** min(i, self.cap)
-
-    def liminf_ratios(self) -> Num:
-        return self.ratio ** self.cap
 
     def check(self, mode: str):
         if not (0 < self.ratio < 1):
@@ -796,8 +772,7 @@ class ValidatedScheme:
         return tuple((k, c) for k, c in enumerate(self.classes) if c.indices.infinite)
 
     def has_infinite_alphabet(self) -> bool:
-        return any(c.template.max_alphabet() is None and c.template.kind == "geometric_tail"
-                   for _, c in self.infinite_classes())
+        return any(c.template.kind == GeometricTail.kind for _, c in self.infinite_classes())
 
     def limsup_alphabet(self):
         """Largest alphabet size along infinitely many coordinates (None = infinite)."""
@@ -816,13 +791,6 @@ class ValidatedScheme:
     def all_two_point(self) -> bool:
         """True when every infinitely recurring coordinate is two-point."""
         return all(c.template.max_alphabet() == 2 for _, c in self.infinite_classes())
-
-    def two_point_lambda(self, n: int) -> Num:
-        """mu_n(1)/mu_n(0) for a two-point coordinate of a normalized spec."""
-        w = self.weights_at(n)
-        if len(w) != 2:
-            raise SpecError(f"coordinate {n} is not two-point")
-        return _div(w[1], w[0])
 
     def describe(self) -> str:
         lines = [f"mode={self.mode}, prefix length {len(self.prefix)}"]

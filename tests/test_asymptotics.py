@@ -137,6 +137,18 @@ def test_lambda_alternating_limits():
     assert set(lr.limits()) == {F(1, 2), F(1, 3)}
 
 
+def test_rationals_that_share_a_float_are_one_point_each():
+    # 2**-1100 and 2**-1101 are both 0.0 as doubles; classes C1 and C3
+    # share the first
+    a, b = F(1, 2 ** 1100), F(1, 2 ** 1101)
+    spec = SchemeSpec("rational", (), tuple(
+        IndexClass(Indices(j + 1, 3), TwoPoint("const", lam))
+        for j, lam in enumerate((a, b, a))))
+    lr = lambda_clusters(validate(spec))
+    assert lr.clusters.values() == lr.limits() == (a, b)
+    assert [g.classes for g in lr.groups] == [("C1", "C3"), ("C2",)]
+
+
 def test_lambda_matches_generic_ratio_clusters():
     # the two-point parametrization agrees with the generic symbol-1 ratios
     spec = SchemeSpec("rational", (), (

@@ -9,7 +9,7 @@ from kriegerlab import (
     BranchError, CappedGeometric, Deviation, ExplicitWeights, GeometricTail,
     IndexClass, Indices, Perturbed, SchemeSpec, TwoPoint, classify,
     classify_III_two_point, classify_III_unbounded, mult_group, normalize,
-    replay, union_cluster_report, validate,
+    load_spec, replay, union_cluster_report, validate,
 )
 from kriegerlab import test_type_I as type_I_series
 from kriegerlab import test_type_II1 as type_II1_series
@@ -18,7 +18,7 @@ from kriegerlab.classify import uniformity_defect, ratio_defect
 from kriegerlab.exact import format_scalar
 
 from conftest import (
-    EVENS, F, ODDS, capped_scheme, geometric_scheme, interleave, powers,
+    EVENS, F, ODDS, SPEC_DIR, capped_scheme, geometric_scheme, interleave, powers,
     single_class, two_inf_spec, type_one_spec, uniform_two_point,
     zero_one_spec,
 )
@@ -301,6 +301,22 @@ def test_lambda_one_with_divergent_deviations_is_III_1():
     assert "two-point-deviations-divergent" in v.certificate.fired
 
 
+def test_near_tie_float_lambdas_merge_to_the_smallest_in_either_class_order():
+    # 0.5 and 0.5000000005 are one cluster value within 1e-9: the point, its
+    # lambda group and the lambda set all carry the smallest, 0.5
+    classes = tuple(IndexClass(Indices(j + 1, 3), TwoPoint("const", lam))
+                    for j, lam in enumerate((0.5000000005, 0.5, 0.125)))
+    for order in (classes, classes[::-1]):
+        v = classify(SchemeSpec("float", (), order))
+        assert v.describe() == "III_lambda lambda=0.5"
+        ev = v.to_dict()["certificate"]["evidence"]["two_point"]
+        points = ev["lambda_report"]["clusters"]["points"]
+        groups = ev["lambda_report"]["groups"]
+        assert [p["value"] for p in points] == [g["limit"] for g in groups] \
+            == ev["lambda_set"] == [0.125, 0.5]
+        assert [p["witnesses"] for p in points] == [g["classes"] for g in groups]
+
+
 def test_lambda_one_with_summable_deviations_is_II_1():
     spec = single_class(TwoPoint("exp", 1.0, Deviation("power", exponent=1.0)),
                         mode="float")
@@ -441,6 +457,21 @@ def test_certificate_replay_matches_labels():
         assert lam == (None if v.lam is None else format_scalar(v.lam))
 
 
+@pytest.mark.parametrize("name, branch, flag, honest", [
+    ("lambda_zero_one.spec", "two_point", "zero_one", ("III_0", None)),
+    ("interleave_2_3.spec", "two_point", "zero_one", ("III_1", None)),
+    ("capped_half.spec", "unbounded", "inf_liminf_zero", ("III_lambda", "1/2")),
+])
+def test_replay_decides_from_recorded_values_not_flags(name, branch, flag, honest):
+    # the flags are printed for the reader; replay re-derives them from the
+    # recorded lambda_set and inf_liminf, so flipping one changes nothing
+    doc = classify(load_spec(SPEC_DIR / name)).to_dict()
+    assert replay(doc) == honest
+    ev = doc["certificate"]["evidence"][branch]
+    ev[flag] = not ev[flag]
+    assert replay(doc) == honest
+
+
 def test_certificate_records_mode_and_cap():
     v = classify(powers(F(1, 2)), c=F(2))
     assert v.certificate.mode == "rational"
@@ -464,14 +495,15 @@ def test_unbounded_trivial_group_decision_path():
     # is exercised directly on synthetic evidence
     from kriegerlab.classify import _decide_unbounded
 
-    def evidence(zero_cluster, liminf_zero, kind):
-        return {"zero_cluster": zero_cluster, "inf_liminf_zero": liminf_zero,
+    def evidence(zero_cluster, inf_liminf, kind):
+        return {"zero_cluster": zero_cluster, "inf_liminf": inf_liminf,
                 "group": None if kind is None else {"kind": kind}}
 
-    assert _decide_unbounded(evidence(False, False, "trivial")) == ("III_0", "unbounded-trivial-group")
-    assert _decide_unbounded(evidence(False, False, "dense")) == ("III_1", "unbounded-dense-group")
-    assert _decide_unbounded(evidence(True, False, None)) == ("III_1", "unbounded-zero-cluster")
-    assert _decide_unbounded(evidence(False, True, None)) == ("III_1", "unbounded-liminf-zero")
+    assert _decide_unbounded(evidence(False, "1/8", "trivial")) == ("III_0", "unbounded-trivial-group")
+    assert _decide_unbounded(evidence(False, 0.125, "dense")) == ("III_1", "unbounded-dense-group")
+    assert _decide_unbounded(evidence(True, "1/8", None)) == ("III_1", "unbounded-zero-cluster")
+    assert _decide_unbounded(evidence(False, "0", None)) == ("III_1", "unbounded-liminf-zero")
+    assert _decide_unbounded(evidence(False, 1e-10, None)) == ("III_1", "unbounded-liminf-zero")
 
 
 def test_mixed_infinite_alphabet_with_two_point_class():

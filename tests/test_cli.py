@@ -122,6 +122,29 @@ def test_sample_writes_export_and_lattice(tmp_path, capsys):
     int(num), int(den)
 
 
+def test_sample_records_beyond_the_int_str_digit_limit(tmp_path, capsys):
+    # each coordinate's ratio has 1000-digit terms, so a sampled ratio over
+    # 60 coordinates passes Python's default int-to-str limit
+    from decimal import Decimal
+    from kriegerlab import load_spec, mc_sample_cocycle, normalize, validate
+    a, b = 10 ** 1000 + 7, 10 ** 1000 - 3
+    path = tmp_path / "big_weights.spec"
+    path.write_text(json.dumps({"mode": "rational", "classes": [
+        {"indices": {"start": 1, "step": 1},
+         "template": {"kind": "explicit", "weights": [f"{a}/{a + b}", f"{b}/{a + b}"]}}]}))
+    code, out, err = run_cli(capsys, "sample", str(path), "--samples", "20",
+                             "--window", "60", "--start", "0", "--seed", "7")
+    assert code == 0, err
+    samples = mc_sample_cocycle(validate(normalize(load_spec(path)).spec), seed=7,
+                                n_samples=20, window=60, start=0, delta=F(1, 1000))
+    records = out.splitlines()[:20]
+    assert max(len(r) for r in records) > 2 * 4300
+    for i, (record, ratio) in enumerate(zip(records, samples.ratios, strict=True)):
+        idx, _, num, den = record.split(", ")
+        assert int(idx) == i
+        assert F(int(Decimal(num)), int(Decimal(den))) == ratio
+
+
 def test_oracle_distances(capsys):
     code, out, _ = run_cli(capsys, "oracle", str(SPEC_DIR / "powers_half.spec"),
                            "--length", "3", "--targets", "1/3", "1/2")

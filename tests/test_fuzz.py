@@ -13,7 +13,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import (
@@ -30,61 +30,84 @@ ADMISSIBLE = {"I_inf", "II_1", "II_inf", "III_0", "III_lambda", "III_1",
               "inconclusive"}
 
 
+# float two-point constants: 0.5 and 0.5000000005 lie within the 1e-9
+# cluster tolerance, and 0.125 = 0.5**3 is a power of one of them only
+NEAR_TIE = (0.5, 0.5000000005, 0.125, 1 / 3)
+
+# three float classes whose lambda limits 0.5000000005 and 0.5 merge
+NEAR_TIE_SPEC = SchemeSpec("float", (), tuple(
+    IndexClass(Indices(j + 1, 3), TwoPoint("const", lam))
+    for j, lam in enumerate((0.5000000005, 0.5, 0.125))))
+
+
+def _scalar(mode):
+    """Rationals as they are in rational mode, as doubles in float mode."""
+    return float if mode == "float" else (lambda x: x)
+
+
 @st.composite
-def rational_weights(draw, min_size=2, max_size=4):
+def rational_weights(draw, min_size=2, max_size=4, mode="rational"):
     raw = draw(st.lists(st.integers(1, 12), min_size=min_size, max_size=max_size))
     total = sum(raw)
-    return tuple(F(r, total) for r in raw)
+    return tuple(_scalar(mode)(F(r, total)) for r in raw)
 
 
 @st.composite
-def deviations(draw):
+def deviations(draw, mode="rational"):
     kind = draw(st.sampled_from(["geometric", "power"]))
+    x = _scalar(mode)
     if kind == "geometric":
-        return Deviation("geometric", rho=F(draw(st.integers(1, 4)), 5),
-                         coeff=F(draw(st.integers(1, 4)), 10))
-    return Deviation("power", exponent=F(draw(st.integers(1, 3))),
-                     coeff=F(draw(st.integers(1, 4)), 10))
+        return Deviation("geometric", rho=x(F(draw(st.integers(1, 4)), 5)),
+                         coeff=x(F(draw(st.integers(1, 4)), 10)))
+    return Deviation("power", exponent=x(F(draw(st.integers(1, 3)))),
+                     coeff=x(F(draw(st.integers(1, 4)), 10)))
 
 
 @st.composite
-def templates(draw):
+def templates(draw, mode="rational"):
     kind = draw(st.sampled_from(
         ["explicit", "two_point_const", "two_point_weight", "geometric_tail",
          "capped", "perturbed"]))
+    x = _scalar(mode)
     if kind == "explicit":
-        return ExplicitWeights(draw(rational_weights()))
+        return ExplicitWeights(draw(rational_weights(mode=mode)))
     if kind == "two_point_const":
+        if mode == "float":
+            return TwoPoint("const", draw(st.sampled_from(NEAR_TIE)))
         num = draw(st.integers(1, 9))
         den = draw(st.integers(2, 10).filter(lambda d: d > num))
         return TwoPoint("const", F(num, den))
     if kind == "two_point_weight":
-        return TwoPoint("weight", None, draw(deviations()))
+        return TwoPoint("weight", None, draw(deviations(mode)))
     if kind == "geometric_tail":
-        return GeometricTail(draw(rational_weights(min_size=1, max_size=3)),
-                             F(draw(st.integers(1, 3)), 4))
+        return GeometricTail(draw(rational_weights(min_size=1, max_size=3, mode=mode)),
+                             x(F(draw(st.integers(1, 3)), 4)))
     if kind == "capped":
-        return CappedGeometric(F(draw(st.integers(1, 3)), 4),
+        return CappedGeometric(x(F(draw(st.integers(1, 3)), 4)),
                                draw(st.integers(1, 4)),
                                draw(st.integers(2, 4)),
                                draw(st.integers(1, 2)))
-    return Perturbed(draw(rational_weights()))
+    return Perturbed(draw(rational_weights(mode=mode)))
 
 
 @st.composite
-def schemes(draw):
-    prefix = tuple(draw(rational_weights())
+def schemes(draw, modes=("rational",)):
+    mode = draw(st.sampled_from(modes))
+    prefix = tuple(draw(rational_weights(mode=mode))
                    for _ in range(draw(st.integers(0, 3))))
     p = len(prefix)
     k = draw(st.integers(1, 3))
     classes = tuple(
-        IndexClass(Indices(p + 1 + j, k), draw(templates()))
+        IndexClass(Indices(p + 1 + j, k), draw(templates(mode)))
         for j in range(k))
-    return SchemeSpec("rational", prefix, classes)
+    return SchemeSpec(mode, prefix, classes)
+
+
+BOTH_MODES = ("rational", "float")
 
 
 @settings(max_examples=80, deadline=None)
-@given(schemes())
+@given(schemes(BOTH_MODES))
 def test_random_specs_classify_with_replayable_certificates(spec):
     spec = normalize(spec).spec
     validate(spec)
@@ -98,7 +121,8 @@ def test_random_specs_classify_with_replayable_certificates(spec):
 
 
 @settings(max_examples=40, deadline=None)
-@given(schemes())
+@given(schemes(BOTH_MODES))
+@example(NEAR_TIE_SPEC)
 def test_random_specs_class_order_invariance(spec):
     v1 = classify(spec)
     v2 = classify(SchemeSpec(spec.mode, spec.prefix, tuple(reversed(spec.classes))))
