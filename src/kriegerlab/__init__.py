@@ -25,9 +25,8 @@ from .groups import (
     DomainError, GroupStructure, ZeroInSet, commensurable, mult_group,
 )
 from .classify import (
-    BranchError, Certificate, InconclusiveEvidence, TypeVerdict, classify,
-    classify_III_two_point, classify_III_unbounded, replay, test_type_I,
-    test_type_II1, test_type_III,
+    Certificate, TypeVerdict, classify, replay, test_type_I, test_type_II1,
+    test_type_III,
 )
 from .cocycle import (
     Block, BlockTooLarge, CocycleSampleSet, DEFAULT_SEED, InsufficientSamples,

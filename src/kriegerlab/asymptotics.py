@@ -19,7 +19,10 @@ from .scheme import (
 )
 
 FINITE_CLUSTER_TOL = 1e-9
-ZERO_FLAG_TOL = Fraction(1, 10 ** 9)
+
+# the exact sum of scale*rho**n over start + step*k holds rho**(start+step); past
+# this many bits it is not formed, and the summable verdict carries no total
+MAX_TOTAL_BITS = 1 << 18
 
 
 class SymbolFinite(SpecError):
@@ -48,7 +51,7 @@ class Term:
       * ``const``      -- term = value at every coordinate of an infinite set
       * ``converges``  -- terms converge to value > 0
       * ``geometric``  -- term = scale*rho**n exactly (``exact=True``) or
-                          bounded above by it (``exact=False``)
+                          comparable to rho**n (``exact=False``)
       * ``power``      -- term comparable to scale*n**(-p)
     """
 
@@ -60,16 +63,14 @@ class Term:
     exact: bool = False
 
     @staticmethod
-    def from_deviation(dev: Deviation, scale: Optional[Num] = None, exact: bool = False):
+    def from_deviation(dev: Deviation, exact: bool = False):
         """Term comparable to (or equal to, when exact) the deviation values."""
         if dev.family == ZERO:
             return Term("zero")
         if dev.family == GEOMETRIC:
-            s = dev.coeff if scale is None else scale * dev.coeff
-            return Term("geometric", rho=dev.rho, scale=s, exact=exact)
+            return Term("geometric", rho=dev.rho, scale=dev.coeff, exact=exact)
         if dev.family == POWER:
-            s = dev.coeff if scale is None else scale * dev.coeff
-            return Term("power", p=dev.exponent, scale=s, exact=exact)
+            return Term("power", p=dev.exponent, scale=dev.coeff, exact=exact)
         total = sum(dev.values) if exact else None
         return Term("finite", value=total)
 
@@ -86,7 +87,6 @@ class SummabilityVerdict:
     verdict: str
     evidence: str
     total: Optional[Num] = None      # exact closed-form sum when available
-    bound: Optional[Num] = None      # rigorous upper bound for summable series
 
     @property
     def summable(self):
@@ -104,16 +104,17 @@ class SummabilityVerdict:
         out = {"verdict": self.verdict, "evidence": self.evidence}
         if self.total is not None:
             out["total"] = format_scalar(self.total)
-        if self.bound is not None:
-            out["bound"] = format_scalar(self.bound)
         return out
 
 
-def _geometric_tail_sum(rho: Num, scale: Num, indices: Indices) -> Num:
+def _geometric_tail_sum(rho: Num, scale: Num, indices: Indices) -> Optional[Num]:
     # sum of scale*rho**n over n = a, a+d, a+2d, ...
     a, d = indices.start, indices.step
-    return scale * rho ** a / (1 - rho ** d) if is_exact(rho) and is_exact(scale) \
-        else float(scale) * float(rho) ** a / (1 - float(rho) ** d)
+    if not (is_exact(rho) and is_exact(scale)):
+        return float(scale) * float(rho) ** a / (1 - float(rho) ** d)
+    if (a + d) * max(rho.numerator.bit_length(), rho.denominator.bit_length()) > MAX_TOTAL_BITS:
+        return None
+    return scale * rho ** a / (1 - rho ** d)
 
 
 def _part_verdict(part: SeriesPart) -> SummabilityVerdict:
@@ -140,19 +141,14 @@ def _part_verdict(part: SeriesPart) -> SummabilityVerdict:
             f"{part.label}: terms converge to {format_scalar(t.value)} > 0, so they "
             "exceed a positive constant eventually")
     if t.kind == "geometric":
-        bound = None
         total = None
-        if t.scale is not None and part.indices is not None and part.indices.infinite:
-            s = _geometric_tail_sum(t.rho, t.scale, part.indices)
-            if t.exact:
-                total = s
-            else:
-                bound = s
+        if t.exact and part.indices is not None and part.indices.infinite:
+            total = _geometric_tail_sum(t.rho, t.scale, part.indices)
         word = "equal to" if t.exact else "bounded by a multiple of"
         return SummabilityVerdict(
             SUMMABLE,
             f"{part.label}: terms {word} {format_scalar(t.rho)}**n (geometric rule)",
-            total=total, bound=bound)
+            total=total)
     # power: the p-series and integral-test rules
     if t.p > 1:
         return SummabilityVerdict(
@@ -182,12 +178,7 @@ def summability(series: tuple) -> SummabilityVerdict:
             total = None
             break
         total = total + v.total
-    bound = None
-    if total is None:
-        parts = [v.total if v.total is not None else v.bound for v in verdicts]
-        if all(p is not None for p in parts):
-            bound = sum(parts)
-    return SummabilityVerdict(SUMMABLE, evidence, total=total, bound=bound)
+    return SummabilityVerdict(SUMMABLE, evidence, total=total)
 
 
 # one-part series, for building summability examples by hand
@@ -245,6 +236,15 @@ class ClusterReport:
                 "note": self.note}
 
 
+def _is_limit(printed, target: int) -> bool:
+    """Whether a printed cluster value is ``target`` (0 or 1): a rational's
+    string exactly, a float within 1e-9.  The flags the reports and branches
+    print and the deciders that replay them all go through here."""
+    if isinstance(printed, str):
+        return printed == str(target)
+    return abs(printed - target) <= FINITE_CLUSTER_TOL
+
+
 def _merge_points(raw, mode: str):
     """Group (value, witness, recurring) triples into cluster points, in
     increasing order of their floats.
@@ -269,7 +269,8 @@ def _merge_points(raw, mode: str):
 def _cluster_report(raw, mode: str, note: str) -> ClusterReport:
     points = _merge_points(raw, mode)
     return ClusterReport(points, min((p.value for p in points), default=None),
-                         contains_zero=any(p.value <= ZERO_FLAG_TOL for p in points),
+                         contains_zero=any(_is_limit(format_scalar(p.value), 0)
+                                           for p in points),
                          note=note)
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Union
 from .exact import RATIONAL, Num, _numerators, format_scalar, is_exact
 from .asymptotics import (
     DIVERGENT, INCONCLUSIVE, SUMMABLE,
-    SeriesPart, SummabilityVerdict, Term,
+    SeriesPart, SummabilityVerdict, Term, _is_limit,
     cluster_set_M_F, lambda_clusters, summability, union_cluster_report,
 )
 from .groups import CYCLIC, DENSE, TRIVIAL, mult_group
@@ -38,14 +38,6 @@ LABEL_INCONCLUSIVE = "inconclusive"
 
 LABELS = (LABEL_I_INF, LABEL_II_1, LABEL_II_INF,
           LABEL_III_0, LABEL_III_LAMBDA, LABEL_III_1, LABEL_INCONCLUSIVE)
-
-
-class BranchError(SpecError):
-    """A subtype branch was entered outside its precondition."""
-
-
-class InconclusiveEvidence(SpecError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +324,12 @@ def _ratio_defect_geometric_tail(tpl: GeometricTail, c: Num, mode: str) -> Num:
 
 
 # ---------------------------------------------------------------------------
-# type-III subtype branches: each builds its evidence dict first and decides
-# from it, and replay runs the same decider on the recorded dict
+# type-III subtype branches: a builder records the evidence and the group of
+# its non-zero cluster values, and a decider reads the label off both;
+# replay runs the same decider on the recorded evidence and its regrouped values
 
-def _group_kind(ev: dict) -> Optional[str]:
-    group = ev.get("group")
-    return None if group is None else group["kind"]
-
-
-def _is_limit(printed, target: int) -> bool:
-    """Whether a printed cluster value is ``target`` (0 or 1): a rational's
-    string exactly, a float within 1e-9.  The flags a branch records and
-    the deciders that replay them both go through here."""
-    if isinstance(printed, str):
-        return printed == str(target)
-    return abs(printed - target) <= 1e-9
+def _group_kind(group) -> Optional[str]:
+    return None if group is None else group.kind
 
 
 def _zero_one(lambda_set) -> bool:
@@ -354,19 +337,22 @@ def _zero_one(lambda_set) -> bool:
         and any(_is_limit(t, 1) for t in lambda_set)
 
 
-def _decide_unbounded(ev: dict):
+def _decide_unbounded(ev: dict, group):
+    report = ev["cluster_report"]
+    zero_cluster = report["unbounded"] or any(
+        p["recurring"] and _is_limit(p["value"], 0) for p in report["points"])
     liminf_zero = _is_limit(ev["inf_liminf"], 0)
-    if ev["zero_cluster"] or liminf_zero:
+    if zero_cluster or liminf_zero:
         fired = "unbounded-liminf-zero" if liminf_zero else "unbounded-zero-cluster"
         return LABEL_III_1, fired
-    if _group_kind(ev) == DENSE:
+    if _group_kind(group) == DENSE:
         return LABEL_III_1, "unbounded-dense-group"
-    if _group_kind(ev) == CYCLIC:
+    if _group_kind(group) == CYCLIC:
         return LABEL_III_LAMBDA, "unbounded-cyclic-group"
     return LABEL_III_0, "unbounded-trivial-group"
 
 
-def _decide_two_point(ev: dict):
+def _decide_two_point(ev: dict, group):
     verdicts = [e["series"]["verdict"] for e in ev["eps_verdicts"]]
     if _zero_one(ev["lambda_set"]):
         return LABEL_III_0, "two-point-lambda-set-zero-one"
@@ -374,58 +360,35 @@ def _decide_two_point(ev: dict):
         return LABEL_III_1, "two-point-deviations-divergent"
     if INCONCLUSIVE in verdicts:
         return LABEL_INCONCLUSIVE, "two-point-deviations-inconclusive"
-    if _group_kind(ev) == DENSE:
+    if _group_kind(group) == DENSE:
         return LABEL_III_1, "two-point-dense-group"
-    if _group_kind(ev) == CYCLIC:
+    if _group_kind(group) == CYCLIC:
         return LABEL_III_LAMBDA, "two-point-cyclic-group"
     if not verdicts:            # one deviation verdict per non-zero cluster value
         return LABEL_INCONCLUSIVE, "two-point-lambda-only-zero"
     return LABEL_INCONCLUSIVE, "two-point-trivial-group-contradiction"
 
 
-# the decider of each type-III branch, by its evidence key
-_BRANCHES = {"unbounded": _decide_unbounded, "two_point": _decide_two_point}
+def _recorded_group(ev: dict):
+    """The group of the non-zero cluster values a branch's evidence records:
+    the lambda set, or the recurring points of the union report."""
+    printed = ev["lambda_set"] if "lambda_set" in ev else \
+        [p["value"] for p in ev["cluster_report"]["points"] if p["recurring"]]
+    values = [Fraction(t) if isinstance(t, str) else t
+              for t in printed if not _is_limit(t, 0)]
+    return mult_group(values) if values else None
 
 
-def _divergent_type_III(vs: ValidatedScheme, c: Num,
-                        pretested: Optional[SummabilityVerdict]) -> SummabilityVerdict:
-    """The type-III series verdict a subtype branch starts from; it must diverge."""
-    type3 = pretested if pretested is not None else test_type_III(vs, c)
-    if type3.inconclusive:
-        raise InconclusiveEvidence("type-III membership is inconclusive")
-    if not type3.divergent:
-        raise BranchError("the scheme is not type III")
-    return type3
-
-
-def _branch_verdict(vs, c, type3, branch: str, ev: dict, group, warnings,
-                    notes) -> TypeVerdict:
-    label, fired = _BRANCHES[branch](ev)
-    cert = Certificate(
-        fired=("type-III-series-divergent", fired),
-        mode=vs.mode, c_parameter=c, warnings=tuple(warnings),
-        evidence={"type_III": type3.to_dict(), "branch": branch, branch: ev},
-        notes=notes)
-    return TypeVerdict(label, group.generator if label == LABEL_III_LAMBDA else None, cert)
-
-
-def classify_III_unbounded(vs: ValidatedScheme, c: Num = Fraction(1),
-                           _pretested: Optional[SummabilityVerdict] = None) -> TypeVerdict:
-    """Subtype of a type-III scheme with unbounded alphabet sizes."""
-    if vs.limsup_alphabet() is not None:
-        raise BranchError(
-            f"alphabet sizes are bounded by {vs.limsup_alphabet()}; "
-            "this branch needs unbounded sizes")
-    type3 = _divergent_type_III(vs, c, _pretested)
+def classify_III_unbounded(vs: ValidatedScheme) -> tuple:
+    """Evidence, group, warnings and notes of a type-III scheme with
+    unbounded alphabet sizes."""
     union = union_cluster_report(vs)
     il = format_scalar(union.inf_liminf())
     liminf_zero = _is_limit(il, 0)
-    values = union.values(recurring_only=True)
-    nonzero = [v for v in values if not _is_limit(format_scalar(v), 0)]
-    zero_cluster = union.unbounded or len(nonzero) < len(values)
+    zero_cluster = union.contains_zero      # every point of the union recurs
     group = None
     if not (zero_cluster or liminf_zero):
-        group = mult_group(nonzero)
+        group = mult_group(union.values())
     ev = {
         "inf_liminf": il,
         "inf_liminf_zero": liminf_zero,
@@ -434,23 +397,19 @@ def classify_III_unbounded(vs: ValidatedScheme, c: Num = Fraction(1),
         "transient_report": cluster_set_M_F(vs).to_dict(),
         "group": None if group is None else group.to_dict(),
     }
-    return _branch_verdict(
-        vs, c, type3, "unbounded", ev, group, (),
-        ("symbol 0 (ratios identically 1) is excluded from cluster sets",
-         "transient-symbol ratio groups are reported but, being finite data, "
-         "contribute no cluster points"))
+    return ev, group, (), (
+        "symbol 0 (ratios identically 1) is excluded from cluster sets",
+        "transient-symbol ratio groups are reported but, being finite data, "
+        "contribute no cluster points")
 
 
-def classify_III_two_point(vs: ValidatedScheme, c: Num = Fraction(1),
-                           _pretested: Optional[SummabilityVerdict] = None) -> TypeVerdict:
-    """Subtype of a type-III scheme whose recurring coordinates are two-point.
+def classify_III_two_point(vs: ValidatedScheme) -> tuple:
+    """Evidence, group, warnings and notes of a type-III scheme whose
+    recurring coordinates are two-point.
 
     Finitely many coordinates (the prefix and finite classes) never
     change the subtype and are ignored here, whatever their alphabets.
     """
-    if not vs.all_two_point():
-        raise BranchError("some infinite class is not two-point")
-    type3 = _divergent_type_III(vs, c, _pretested)
     lr = lambda_clusters(vs)
     limits = lr.limits()
     lambda_set = [format_scalar(t) for t in limits]
@@ -506,12 +465,17 @@ def classify_III_two_point(vs: ValidatedScheme, c: Num = Fraction(1),
                          for t, v in eps_verdicts.items()],
         "group": None if group_struct is None else group_struct.to_dict(),
     }
-    return _branch_verdict(
-        vs, c, type3, "two_point", ev, group_struct, warnings,
-        ("deviation summability stands in for the multiplicative deviation "
-         "of the lambda sequence; the two are comparable for every "
-         "supported form",
-         f"{lr.ignored_prefix} finitely-covered coordinates ignored"))
+    return ev, group_struct, tuple(warnings), (
+        "deviation summability stands in for the multiplicative deviation "
+        "of the lambda sequence; the two are comparable for every "
+        "supported form",
+        f"{lr.ignored_prefix} finitely-covered coordinates ignored")
+
+
+# Each type-III branch by its evidence key: the name of its builder, looked up
+# at call time like the series tests, and its decider.
+_BRANCHES = {"unbounded": ("classify_III_unbounded", _decide_unbounded),
+             "two_point": ("classify_III_two_point", _decide_two_point)}
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +524,9 @@ def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> 
         fired += (f"{name}-series-divergent",)
 
     if vs.limsup_alphabet() is None:
-        sub = classify_III_unbounded(vs, c, _pretested=verdict)
+        branch = "unbounded"
     elif vs.all_two_point():
-        sub = classify_III_two_point(vs, c, _pretested=verdict)
+        branch = "two_point"
     else:
         evidence["branch"] = "bounded_multisymbol"
         cert = Certificate(
@@ -573,11 +537,12 @@ def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> 
             evidence, notes)
         return TypeVerdict(LABEL_INCONCLUSIVE, None, cert)
 
-    # the branch's certificate repeats "type-III-series-divergent" first
-    cert = Certificate(fired[:-1] + sub.certificate.fired, vs.mode, c,
-                       sub.certificate.warnings, {**evidence, **sub.certificate.evidence},
-                       notes + sub.certificate.notes)
-    return TypeVerdict(sub.label, sub.lam, cert)
+    build, decide = _BRANCHES[branch]
+    ev, group, warnings, branch_notes = globals()[build](vs)
+    label, rule = decide(ev, group)
+    evidence.update({"branch": branch, branch: ev})
+    cert = Certificate(fired + (rule,), vs.mode, c, warnings, evidence, notes + branch_notes)
+    return TypeVerdict(label, group.generator if label == LABEL_III_LAMBDA else None, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +563,9 @@ def replay(verdict_dict: dict) -> tuple:
             return LABEL_INCONCLUSIVE, None
         if verdict == SUMMABLE:
             return label, None
-    decide = _BRANCHES.get(ev.get("branch"))
-    if decide is None:
+    name = ev.get("branch")
+    if name not in _BRANCHES:
         return LABEL_INCONCLUSIVE, None
-    branch = ev[ev["branch"]]
-    label, _ = decide(branch)
-    return label, branch["group"]["generator"] if label == LABEL_III_LAMBDA else None
+    group = _recorded_group(ev[name])
+    label, _ = _BRANCHES[name][1](ev[name], group)
+    return label, format_scalar(group.generator) if label == LABEL_III_LAMBDA else None

@@ -20,11 +20,9 @@ import sys
 from fractions import Fraction
 
 from .exact import as_mode, format_scalar
-from .asymptotics import NotTwoPoint, SymbolFinite
 from .classify import (
     LABEL_I_INF, LABEL_II_1, LABEL_II_INF, LABEL_III_0,
-    LABEL_III_1, LABEL_III_LAMBDA, LABEL_INCONCLUSIVE,
-    BranchError, InconclusiveEvidence, classify,
+    LABEL_III_1, LABEL_III_LAMBDA, LABEL_INCONCLUSIVE, classify,
 )
 from .cocycle import (
     DEFAULT_SEED, BlockTooLarge, InsufficientSamples, SearchBudgetExceeded,
@@ -402,11 +400,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (SpecFileError, SpecError, NotTwoPoint, SymbolFinite,
-            FileNotFoundError, BranchError) as exc:
+    except (SpecFileError, SpecError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InconclusiveEvidence, BlockTooLarge) as exc:
+    except BlockTooLarge as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except Exception as exc:  # pragma: no cover - defensive

@@ -16,6 +16,7 @@ weight.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -723,21 +724,30 @@ class ValidatedScheme:
                     if a.contains(m):
                         raise Overlap(
                             f"coordinate {m} lies in progression {a.describe()}")
-        # exact cover on a window that is conclusive for the periodic part
+        # exact cover on a window that is conclusive for the periodic part:
+        # the parts are disjoint, so m - covered(m) never falls, and the first
+        # gap is the least m at which it is positive
         lcm = 1
         for a in progressions:
             lcm = lcm * a.step // math.gcd(lcm, a.step)
         marks = [p, lcm] + [a.start for a in progressions]
         marks += [max(s.members) for s in finite_sets]
         horizon = max(marks) + 2 * lcm
-        for n in range(1, horizon + 1):
-            count = 1 if n <= p else 0
-            count += sum(1 for a in progressions if a.contains(n))
-            count += sum(1 for s in finite_sets if s.contains(n))
-            if count == 0:
-                raise CoverageGap(f"coordinate {n} is not covered")
-            if count > 1:
-                raise Overlap(f"coordinate {n} is covered more than once")
+
+        def covered(m):
+            return min(p, m) \
+                + sum((m - a.start) // a.step + 1 for a in progressions if m >= a.start) \
+                + sum(bisect_right(s.members, m) for s in finite_sets)
+
+        lo, hi = 1, horizon + 1          # bisection over 1..horizon, on any size of int
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if covered(mid) < mid:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo <= horizon:
+            raise CoverageGap(f"coordinate {lo} is not covered")
 
     # -- structure queries --------------------------------------------------
 

@@ -22,6 +22,13 @@ def single_class(template, mode="rational", prefix=(), indices=ALL_N):
     return SchemeSpec(mode, prefix, (IndexClass(indices, template),))
 
 
+def dyadic_indices(depth, offset=0) -> list:
+    """The partition of offset+1, offset+2, ... into offset + 2**j + 2**(j+1)*k
+    for j < depth and offset + 2**depth + 2**depth*k: lcm of the steps 2**depth."""
+    return [Indices(offset + 2 ** j, 2 ** (j + 1)) for j in range(depth)] \
+        + [Indices(offset + 2 ** depth, 2 ** depth)]
+
+
 def powers(lam) -> SchemeSpec:
     """Constant two-point spec with lambda_n = lam."""
     return single_class(TwoPoint("const", F(lam)))

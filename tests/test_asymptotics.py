@@ -86,19 +86,31 @@ def test_all_symbols_recurring_gives_empty_report():
     assert not rep.contains_zero
 
 
-def test_prefix_ratios_near_zero_set_the_flag():
-    # transient symbols 2..6 with ratios marching toward zero
+def _marching_prefix_spec(mode):
+    # transient symbols 2..6 with ratios marching toward zero, down to 1e-15
     prefix = []
     for k in range(2, 7):
         big = F(10) ** (2 * k)
         vec = [big, big] + [F(10) ** (2 * k - 3 * j) for j in range(1, k)]
         total = sum(vec)
-        prefix.append(tuple(v / total for v in vec))
-    spec = SchemeSpec("rational", tuple(prefix),
-                      (IndexClass(Indices(6, 1), TwoPoint("const", F(1, 2))),))
-    rep = cluster_set_M_F(validate(spec))
+        prefix.append(tuple(v / total if mode == "rational" else float(v / total)
+                            for v in vec))
+    lam = F(1, 2) if mode == "rational" else 0.5
+    return SchemeSpec(mode, tuple(prefix), (IndexClass(Indices(6, 1), TwoPoint("const", lam)),))
+
+
+def test_prefix_ratios_near_zero_set_the_flag():
+    # a float within 1e-9 of 0 is 0, as in every cluster decision
+    rep = cluster_set_M_F(validate(_marching_prefix_spec("float")))
     assert rep.contains_zero
     assert all(not p.recurring for p in rep.points)
+
+
+def test_rational_prefix_ratios_near_zero_are_not_zero():
+    # rationals compare exactly: 1/10**15 is not 0
+    rep = cluster_set_M_F(validate(_marching_prefix_spec("rational")))
+    assert min(rep.values()) == F(1, 10 ** 15)
+    assert not rep.contains_zero
 
 
 def test_single_finite_class_ratio_group():
@@ -195,6 +207,14 @@ def test_geometric_series_over_progression_total():
     # sum of (1/2)**n over n = 1, 3, 5, ... equals (1/2)/(1 - 1/4) = 2/3
     v = summability(geometric_series(F(1), F(1, 2), ODDS))
     assert v.total == F(2, 3)
+
+
+def test_geometric_series_far_out_is_summable_without_forming_its_total():
+    # (1/2)**(2**40) has 2**40 bits: the verdict stands, the total is left out
+    v = summability(geometric_series(F(1), F(1, 2), Indices(2 ** 39, 2 ** 40)))
+    assert v.summable and v.total is None
+    near = summability(geometric_series(F(1), F(1, 2), Indices(2 ** 16, 2 ** 16)))
+    assert near.total == F(1, 2 ** 2 ** 16 - 1)
 
 
 # ---------------------------------------------------------------------------

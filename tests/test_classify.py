@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import (
-    BranchError, CappedGeometric, Deviation, ExplicitWeights, GeometricTail,
-    IndexClass, Indices, Perturbed, SchemeSpec, TwoPoint, classify,
-    classify_III_two_point, classify_III_unbounded, mult_group, normalize,
+    CappedGeometric, Deviation, ExplicitWeights, GeometricTail, IndexClass,
+    Indices, Perturbed, SchemeSpec, TwoPoint, classify, mult_group, normalize,
     load_spec, replay, union_cluster_report, validate,
 )
 from kriegerlab import test_type_I as type_I_series
@@ -220,22 +219,6 @@ def test_classify_two_inf_by_elimination():
 
 # ---------------------------------------------------------------------------
 # type-III branches
-
-def test_unbounded_branch_guard():
-    spec = single_class(ExplicitWeights((F(4, 7), F(2, 7), F(1, 7))))
-    with pytest.raises(BranchError):
-        classify_III_unbounded(validate(spec))
-
-
-def test_two_point_branch_guard():
-    with pytest.raises(BranchError):
-        classify_III_two_point(validate(geometric_scheme(F(1, 2))))
-
-
-def test_branch_guard_rejects_non_type_III():
-    with pytest.raises(BranchError):
-        classify_III_two_point(validate(uniform_two_point()))
-
 
 def test_bounded_multisymbol_is_inconclusive():
     spec = single_class(ExplicitWeights((F(4, 7), F(2, 7), F(1, 7))))
@@ -457,18 +440,28 @@ def test_certificate_replay_matches_labels():
         assert lam == (None if v.lam is None else format_scalar(v.lam))
 
 
+def _tampered(flag, value):
+    if flag == "group":         # the other non-trivial kind
+        return {**value, "kind": "cyclic" if value["kind"] == "dense" else "dense"}
+    return not value
+
+
 @pytest.mark.parametrize("name, branch, flag, honest", [
     ("lambda_zero_one.spec", "two_point", "zero_one", ("III_0", None)),
     ("interleave_2_3.spec", "two_point", "zero_one", ("III_1", None)),
     ("capped_half.spec", "unbounded", "inf_liminf_zero", ("III_lambda", "1/2")),
+    ("capped_half.spec", "unbounded", "zero_cluster", ("III_lambda", "1/2")),
+    ("powers_half.spec", "two_point", "group", ("III_lambda", "1/2")),
+    ("interleave_2_3.spec", "two_point", "group", ("III_1", None)),
 ])
 def test_replay_decides_from_recorded_values_not_flags(name, branch, flag, honest):
-    # the flags are printed for the reader; replay re-derives them from the
-    # recorded lambda_set and inf_liminf, so flipping one changes nothing
+    # the flags and the group are printed for the reader; replay re-derives
+    # them from the recorded lambda_set, inf_liminf and cluster points, so
+    # tampering with one changes nothing
     doc = classify(load_spec(SPEC_DIR / name)).to_dict()
     assert replay(doc) == honest
     ev = doc["certificate"]["evidence"][branch]
-    ev[flag] = not ev[flag]
+    ev[flag] = _tampered(flag, ev[flag])
     assert replay(doc) == honest
 
 
@@ -495,15 +488,29 @@ def test_unbounded_trivial_group_decision_path():
     # is exercised directly on synthetic evidence
     from kriegerlab.classify import _decide_unbounded
 
-    def evidence(zero_cluster, inf_liminf, kind):
-        return {"zero_cluster": zero_cluster, "inf_liminf": inf_liminf,
-                "group": None if kind is None else {"kind": kind}}
+    def evidence(points, inf_liminf, unbounded=False):
+        return {"inf_liminf": inf_liminf,
+                "cluster_report": {"points": [{"value": v, "recurring": r} for v, r in points],
+                                   "unbounded": unbounded}}
 
-    assert _decide_unbounded(evidence(False, "1/8", "trivial")) == ("III_0", "unbounded-trivial-group")
-    assert _decide_unbounded(evidence(False, 0.125, "dense")) == ("III_1", "unbounded-dense-group")
-    assert _decide_unbounded(evidence(True, "1/8", None)) == ("III_1", "unbounded-zero-cluster")
-    assert _decide_unbounded(evidence(False, "0", None)) == ("III_1", "unbounded-liminf-zero")
-    assert _decide_unbounded(evidence(False, 1e-10, None)) == ("III_1", "unbounded-liminf-zero")
+    trivial, dense = mult_group([F(1)]), mult_group([F(1, 2), F(1, 3)])
+    eighth = [("1/8", True)]
+    assert _decide_unbounded(evidence(eighth, "1/8"), trivial) == ("III_0", "unbounded-trivial-group")
+    assert _decide_unbounded(evidence([(0.125, True)], 0.125), dense) \
+        == ("III_1", "unbounded-dense-group")
+    assert _decide_unbounded(evidence([], "0", unbounded=True), None) \
+        == ("III_1", "unbounded-liminf-zero")
+    assert _decide_unbounded(evidence([], "1/8", unbounded=True), None) \
+        == ("III_1", "unbounded-zero-cluster")
+    assert _decide_unbounded(evidence([("0", True), *eighth], "1/8"), None) \
+        == ("III_1", "unbounded-zero-cluster")
+    assert _decide_unbounded(evidence([(1e-10, True), (0.125, True)], 0.125), None) \
+        == ("III_1", "unbounded-zero-cluster")
+    # a point attained only on finitely many coordinates is no cluster point
+    assert _decide_unbounded(evidence([("0", False), *eighth], "1/8"), trivial) \
+        == ("III_0", "unbounded-trivial-group")
+    assert _decide_unbounded(evidence(eighth, "0"), None) == ("III_1", "unbounded-liminf-zero")
+    assert _decide_unbounded(evidence(eighth, 1e-10), None) == ("III_1", "unbounded-liminf-zero")
 
 
 def test_mixed_infinite_alphabet_with_two_point_class():

@@ -79,6 +79,22 @@ def test_classify_json_replayable(capsys):
 # ---------------------------------------------------------------------------
 # witness
 
+def test_zero_flag_is_exact_for_rationals(tmp_path, capsys):
+    # 1/10**10 is a rational cluster value, not 0: the flag agrees with the verdict
+    path = tmp_path / "tiny_lambda.spec"
+    path.write_text(json.dumps({"mode": "rational", "classes": [
+        {"indices": {"start": 1, "step": 2},
+         "template": {"kind": "two_point", "lambda": {"form": "const", "value": "1/10000000000"}}},
+        {"indices": {"start": 2, "step": 2},
+         "template": {"kind": "two_point", "lambda": {"form": "const", "value": "1/100"}}}]}))
+    code, out, _ = run_cli(capsys, "classify", str(path), "--format", "json")
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert (verdict["label"], verdict["lambda"]) == ("III_lambda", "1/100")
+    clusters = verdict["certificate"]["evidence"]["two_point"]["lambda_report"]["clusters"]
+    assert clusters["contains_zero"] is False
+
+
 def test_witness_found(capsys):
     code, out, _ = run_cli(capsys, "witness", str(SPEC_DIR / "powers_half.spec"),
                            "--target", "0.5", "--eps", "1e-3")

@@ -21,8 +21,14 @@ from kriegerlab import (
     Indices, Perturbed, SchemeSpec, TwoPoint, block_for, brute_force_block,
     classify, normalize, replay, save_spec, validate, witness_search,
 )
+from kriegerlab import test_type_I as type_I_series
+from kriegerlab import test_type_II1 as type_II1_series
+from kriegerlab import test_type_III as type_III_series
+from kriegerlab.classify import ratio_defect, uniformity_defect
 from kriegerlab.cli import main
 from kriegerlab.exact import format_scalar
+
+from conftest import dyadic_indices
 
 F = Fraction
 
@@ -96,11 +102,14 @@ def schemes(draw, modes=("rational",)):
     prefix = tuple(draw(rational_weights(mode=mode))
                    for _ in range(draw(st.integers(0, 3))))
     p = len(prefix)
-    k = draw(st.integers(1, 3))
-    classes = tuple(
-        IndexClass(Indices(p + 1 + j, k), draw(templates(mode)))
-        for j in range(k))
-    return SchemeSpec(mode, prefix, classes)
+    if draw(st.integers(0, 4)) == 0:
+        # many classes whose steps have an lcm up to 2**40
+        indices = dyadic_indices(draw(st.integers(1, 40)), offset=p)
+    else:
+        k = draw(st.integers(1, 3))
+        indices = [Indices(p + 1 + j, k) for j in range(k)]
+    return SchemeSpec(mode, prefix, tuple(IndexClass(ix, draw(templates(mode)))
+                                          for ix in indices))
 
 
 BOTH_MODES = ("rational", "float")
@@ -127,6 +136,54 @@ def test_random_specs_class_order_invariance(spec):
     v1 = classify(spec)
     v2 = classify(SchemeSpec(spec.mode, spec.prefix, tuple(reversed(spec.classes))))
     assert (v1.label, v1.lam) == (v2.label, v2.lam)
+
+
+# a replacement for each flag or group a branch prints beside its values
+TAMPERED = {
+    "zero_cluster": st.booleans(),
+    "zero_one": st.booleans(),
+    "inf_liminf_zero": st.booleans(),
+    "group": st.none() | st.fixed_dictionaries({
+        "kind": st.sampled_from(["trivial", "cyclic", "dense"]),
+        "generator": st.sampled_from([None, "1/3", 0.25])}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(schemes(BOTH_MODES), st.data())
+def test_replay_ignores_recorded_flags_and_group(spec, data):
+    doc = classify(spec).to_dict()
+    honest = replay(doc)
+    ev = doc["certificate"]["evidence"]
+    branch = ev.get(ev.get("branch"))       # bounded_multisymbol records no dict
+    for key, replacement in TAMPERED.items():
+        if isinstance(branch, dict) and key in branch:
+            branch[key] = data.draw(replacement, label=key)
+    assert replay(doc) == honest
+
+
+# the per-coordinate value of each series, as the series tests define it
+SERIES = (
+    (type_I_series, lambda w: 1 - max(w)),
+    (type_II1_series, lambda w: 0 if len(set(w)) == 1 else uniformity_defect(w)),
+    (type_III_series, lambda w: ratio_defect(w, 1)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(schemes(BOTH_MODES))
+def test_reported_totals_are_direct_sums(spec):
+    # a reported total is the sum over every coordinate; 200 coordinates leave
+    # a geometric tail below (4/5)**200
+    vs = validate(normalize(spec).spec)
+    for series, value in SERIES:
+        total = series(vs).total
+        if total is None:
+            continue
+        direct = sum(value(vs.weights_at(n)) for n in range(1, 201))
+        assert abs(float(total) - float(direct)) <= 1e-9
+        if vs.mode == "rational":
+            assert direct <= total
 
 
 @settings(max_examples=40, deadline=None)

@@ -73,11 +73,11 @@ GOLDEN = {
         "report": (0, "67e54d293c0cf7e617a15fa279a681c9021e73360f4d28651bd9a2697cd628dc"),
     },
     "two_inf.spec": {
-        "classify": (0, "3fdb1ebcac07295cf38a047f4648a0ca8deb0142967e9edaca755e7259388d8c"),
+        "classify": (0, "d699f47e307bf5524c2da57df2d905f182726c0c9ab0df602391cd0ec8d2c1fe"),
         "witness": (2, "9b69be5097eaba54fbec1bcf219f2635aa30774c4a02d789d8f8a508036f5199"),
         "oracle": (0, "d85b42a16a1425242707bd56079b61564be2b9fde9f888001cd5261530336607"),
         "sample": (0, "165cdc2dbc056edda2e744a5cc690169bd0310448d0db4624fa4180ddd67100b"),
-        "report": (0, "e0d7dd7324e0a3d300fe159b7073d74d2da8a0faa2423befce7042bd68bd64a3"),
+        "report": (0, "769f0bc3745a9d5815b73e8a716f482e138e1da0649875de8f5c23f02df63a51"),
     },
     "type_one.spec": {
         "classify": (0, "0b5fc10e21ddb3d33ea86699a21c38408bcf5f7630212262690a669b3221e084"),

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from kriegerlab import (
     CappedGeometric, CoverageGap, Deviation, ExplicitWeights, FactorSpec, GeometricTail,
     IndexClass, Indices, NonPositiveWeight, NotNormalized, Overlap, Perturbed,
-    SchemeSpec, SpecError, TwoPoint, factor_to_scheme, normalize,
+    SchemeSpec, SpecError, TwoPoint, classify, factor_to_scheme, normalize,
     scheme_to_factor, truncate_alphabet, validate,
 )
 from kriegerlab.exact import as_mode
 from kriegerlab.scheme import ModeError, _div
 
-from conftest import ALL_N, EVENS, ODDS, F, powers, single_class
+from conftest import ALL_N, EVENS, ODDS, F, dyadic_indices, powers, single_class
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +44,26 @@ def test_coverage_gap_detected():
         IndexClass(Indices(2, 3), TwoPoint("const", F(1, 2)))))
     with pytest.raises(CoverageGap):
         validate(spec)
+
+
+def test_many_class_cover_is_validated_without_a_coordinate_scan(monkeypatch):
+    # 41 dyadic classes: the steps' lcm is 2**40, far past any scan of the cover
+    calls = [0]
+    contains = Indices.contains
+
+    def counted(self, n):
+        calls[0] += 1
+        if calls[0] > 10_000:
+            raise AssertionError("more than 10,000 membership tests")
+        return contains(self, n)
+
+    monkeypatch.setattr(Indices, "contains", counted)
+    spec = SchemeSpec("rational", (), tuple(
+        IndexClass(ix, TwoPoint("const", F(1, 2))) for ix in dyadic_indices(40)))
+    assert classify(spec).describe() == "III_lambda lambda=1/2"
+    # without its last class the cover first misses that class's start
+    with pytest.raises(CoverageGap, match=f"coordinate {2 ** 40} is not covered"):
+        validate(SchemeSpec("rational", (), spec.classes[:-1]))
 
 
 def test_overlap_detected():
