@@ -17,9 +17,8 @@ from .scheme import (
 )
 from .asymptotics import (
     ClusterReport, LambdaReport, NotTwoPoint, SummabilityVerdict,
-    SymbolFinite, cluster_set_M_F, cluster_set_M_i,
-    constant_series, geometric_series, inf_liminf, lambda_clusters,
-    power_series, summability, union_cluster_report,
+    constant_series, geometric_series, lambda_clusters, power_series,
+    summability, union_cluster_report,
 )
 from .groups import (
     DomainError, GroupStructure, ZeroInSet, commensurable, mult_group,
@@ -34,7 +33,6 @@ from .cocycle import (
     Witness, WordLengthMismatch, block_for, brute_force_block, cocycle_ratio,
     compose_witnesses, estimate_ratio_set, lattice_detect, log_cocycle,
     mc_sample_cocycle, replay_witness, witness_search,
-    witness_search_extremes,
 )
 from .specfile import SpecFileError, dump_spec, load_spec, parse_spec, save_spec
 

@@ -1,10 +1,10 @@
 """Cluster-point sets and series summability verdicts.
 
-Cluster points are computed symbolically from template limits, never by
-numeric epsilon-clustering, except for finite explicit data (prefix
-vectors and finite classes) where values are grouped exactly (rational
-mode) or within 1e-9 (float mode).  Summability verdicts come from a
-fixed rule table over closed-form term families.
+Cluster points are computed symbolically from the template limits of
+the infinite classes, never from sampled ratios; equal limits are
+grouped exactly (rational mode) or within 1e-9 (float mode).
+Summability verdicts come from a fixed rule table over closed-form term
+families.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 from .exact import RATIONAL, Num, format_scalar, is_exact
 from .scheme import (
-    Deviation, GEOMETRIC, Indices, POWER, SpecError, ValidatedScheme, ZERO, _div,
+    Deviation, GEOMETRIC, Indices, POWER, SpecError, ValidatedScheme, ZERO,
 )
 
 FINITE_CLUSTER_TOL = 1e-9
@@ -23,10 +23,6 @@ FINITE_CLUSTER_TOL = 1e-9
 # the exact sum of scale*rho**n over start + step*k holds rho**(start+step); past
 # this many bits it is not formed, and the summable verdict carries no total
 MAX_TOTAL_BITS = 1 << 18
-
-
-class SymbolFinite(SpecError):
-    """The symbol does not appear in infinitely many coordinates."""
 
 
 class NotTwoPoint(SpecError):
@@ -218,9 +214,8 @@ class ClusterReport:
     unbounded: bool = False
     note: str = ""
 
-    def values(self, recurring_only: bool = False):
-        return tuple(p.value for p in self.points
-                     if p.recurring or not recurring_only)
+    def values(self):
+        return tuple(p.value for p in self.points)
 
     def inf_liminf(self) -> Num:
         """Infimum over the ratio sequences of their liminf: 0 on an
@@ -274,61 +269,12 @@ def _cluster_report(raw, mode: str, note: str) -> ClusterReport:
                          note=note)
 
 
-def cluster_set_M_i(vs: ValidatedScheme, symbol: int) -> ClusterReport:
-    """Cluster points of the weight ratios of ``symbol`` against symbol 0.
-
-    Computed per class from template limits; only infinite classes
-    whose alphabets contain the symbol contribute.
-    """
-    if symbol < 0:
-        raise SpecError("symbols are 0-indexed")
-    if not vs.symbol_recurs(symbol):
-        raise SymbolFinite(f"symbol {symbol} appears in only finitely many coordinates")
-    raw = []
-    labels = vs.class_labels()
-    for k, cls in vs.infinite_classes():
-        m = cls.template.max_alphabet()
-        if m is not None and symbol >= m:
-            continue
-        raw.append((cls.template.ratio_limit(symbol), labels[k], True))
-    if not raw:
-        raise SymbolFinite(f"symbol {symbol} appears in only finitely many coordinates")
-    return _cluster_report(raw, vs.mode, f"ratios of symbol {symbol} against symbol 0")
-
-
-def cluster_set_M_F(vs: ValidatedScheme) -> ClusterReport:
-    """Ratio values of symbols that appear only finitely often.
-
-    These come from prefix coordinates and finite classes, so the data
-    is finite; groups are reported with ``recurring=False`` and never
-    count as genuine cluster points downstream.  Empty when every
-    symbol recurs infinitely.
-    """
-    sup = vs.limsup_alphabet()
-    raw = []
-    if sup is not None:
-        for v, vec in enumerate(vs.prefix, start=1):
-            for i in range(sup, len(vec)):
-                raw.append((_div(vec[i], vec[0]), f"prefix[{v}]", False))
-        labels = vs.class_labels()
-        for k, cls in enumerate(vs.classes):
-            if cls.indices.infinite:
-                continue
-            for n in cls.indices.members:
-                pos = cls.indices.position_of(n)
-                w = cls.template.weights_at(n, pos, vs.mode)
-                for i in range(sup, len(w)):
-                    raw.append((_div(w[i], w[0]), labels[k], False))
-    return _cluster_report(raw, vs.mode,
-                           "finite-data ratio groups of transiently appearing symbols")
-
-
 def union_cluster_report(vs: ValidatedScheme) -> ClusterReport:
     """Genuine cluster points of all symbol ratios (symbol 0 excluded).
 
     This is the classifier's combined cluster set: the union over every
-    infinitely recurring symbol i >= 1 of the per-symbol reports, plus
-    the transient-symbol report, keeping only points attained along an
+    infinitely recurring symbol i >= 1 of the limits of mu_n(i)/mu_n(0)
+    along each infinite class, so every point is attained along an
     infinite index family.  When some class has an infinite alphabet the
     set is infinite and the report carries ``unbounded=True``.
     """
@@ -355,12 +301,6 @@ def union_cluster_report(vs: ValidatedScheme) -> ClusterReport:
             for i in sizes:
                 raw.append((cls.template.ratio_limit(i), labels[k], True))
     return _cluster_report(raw, vs.mode, "union of per-symbol cluster sets, symbol 0 excluded")
-
-
-def inf_liminf(vs: ValidatedScheme) -> Num:
-    """Infimum over recurring symbols i >= 1 of the liminf of each ratio
-    sequence, read off the union report."""
-    return union_cluster_report(vs).inf_liminf()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .exact import RATIONAL, Num, _numerators, format_scalar, is_exact
 from .asymptotics import (
     DIVERGENT, INCONCLUSIVE, SUMMABLE,
     SeriesPart, SummabilityVerdict, Term, _is_limit,
-    cluster_set_M_F, lambda_clusters, summability, union_cluster_report,
+    lambda_clusters, summability, union_cluster_report,
 )
 from .groups import CYCLIC, DENSE, TRIVIAL, mult_group
 from .scheme import (
@@ -394,13 +394,9 @@ def classify_III_unbounded(vs: ValidatedScheme) -> tuple:
         "inf_liminf_zero": liminf_zero,
         "zero_cluster": zero_cluster,
         "cluster_report": union.to_dict(),
-        "transient_report": cluster_set_M_F(vs).to_dict(),
         "group": None if group is None else group.to_dict(),
     }
-    return ev, group, (), (
-        "symbol 0 (ratios identically 1) is excluded from cluster sets",
-        "transient-symbol ratio groups are reported but, being finite data, "
-        "contribute no cluster points")
+    return ev, group, (), ("symbol 0 (ratios identically 1) is excluded from cluster sets",)
 
 
 def classify_III_two_point(vs: ValidatedScheme) -> tuple:

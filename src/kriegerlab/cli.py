@@ -25,7 +25,8 @@ from .classify import (
     LABEL_III_1, LABEL_III_LAMBDA, LABEL_INCONCLUSIVE, classify,
 )
 from .cocycle import (
-    DEFAULT_SEED, BlockTooLarge, InsufficientSamples, SearchBudgetExceeded,
+    DEFAULT_DELTA, DEFAULT_SEED, DEFAULT_STATE_CAP, LATTICE_TOL, BlockTooLarge,
+    InsufficientSamples, SearchBudgetExceeded,
     block_for, brute_force_block, estimate_ratio_set, lattice_detect,
     mc_sample_cocycle, witness_search,
 )
@@ -110,7 +111,6 @@ def cmd_classify(args) -> int:
 def cmd_witness(args) -> int:
     vs = _load_scheme(args.spec)
     _check_tolerance("eps", args.eps)
-    _check_tolerance("delta", args.delta)
     _check_positive("max-block", args.max_block)
     _check_positive("state-cap", args.state_cap)
     if args.target <= 0:
@@ -158,7 +158,6 @@ def cmd_witness(args) -> int:
 
 def cmd_sample(args) -> int:
     vs = _load_scheme(args.spec)
-    _check_tolerance("delta", args.delta)
     _check_tolerance("tol", args.tol)
     _check_positive("samples", args.samples)
     _check_positive("window", args.window)
@@ -205,7 +204,6 @@ def cmd_sample(args) -> int:
 
 def cmd_oracle(args) -> int:
     vs = _load_scheme(args.spec)
-    _check_tolerance("delta", args.delta)
     _check_positive("length", args.length)
     targets = [as_mode(t, vs.mode) for t in args.targets]
     block = block_for(vs, args.start, args.length, args.delta)
@@ -253,7 +251,6 @@ def _labels_agree(verdict, empirical) -> bool:
 
 def cmd_report(args) -> int:
     vs = _load_scheme(args.spec)
-    _check_tolerance("delta", args.delta)
     _check_tolerance("tol", args.tol)
     _check_positive("samples", args.samples)
     _check_positive("window", args.window)
@@ -325,9 +322,9 @@ def _add_sampling(p):
     p.add_argument("--start", type=int, default=1000,
                    help="coordinates start+1..start+window are sampled")
     p.add_argument("--seed", type=_seed_flag, default=DEFAULT_SEED)
-    p.add_argument("--delta", type=_fraction_flag, default=Fraction(1, 1000),
+    p.add_argument("--delta", type=_fraction_flag, default=DEFAULT_DELTA,
                    help="truncation mass budget for infinite alphabets")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float, default=LATTICE_TOL,
                    help="lattice detection tolerance")
 
 
@@ -351,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_fraction_flag, required=True)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--max-block", type=int, default=8, dest="max_block")
-    p.add_argument("--delta", type=_fraction_flag, default=Fraction(1, 1000))
-    p.add_argument("--state-cap", type=int, default=10 ** 8, dest="state_cap")
+    p.add_argument("--delta", type=_fraction_flag, default=DEFAULT_DELTA)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP, dest="state_cap")
     _add_common(p)
     p.set_defaults(fn=cmd_witness)
 
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--length", type=int, default=3)
-    p.add_argument("--delta", type=_fraction_flag, default=Fraction(1, 1000))
+    p.add_argument("--delta", type=_fraction_flag, default=DEFAULT_DELTA)
     p.add_argument("--targets", type=_fraction_flag, nargs="+", required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_oracle)

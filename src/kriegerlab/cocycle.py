@@ -338,51 +338,6 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     return None
 
 
-def witness_search_extremes(vs: ValidatedScheme, eps: Num,
-                            start: int = 0, max_block: int = 8,
-                            delta: Num = DEFAULT_DELTA,
-                            state_cap: int = DEFAULT_STATE_CAP) -> Optional[Witness]:
-    """Search for a word pair x != y with min(|D - 1|, |D|) < eps.
-
-    The endpoint-collapse form of the witness search: instead of a
-    target ratio it hunts for achievable values next to 0 or next to 1
-    through a genuinely changed word.  The returned witness carries
-    target 0 or 1, whichever band was hit.  None is scope-bounded, as
-    in :func:`witness_search`.  On rational schemes the scores are
-    integer keys over the block's scale, as there.
-    """
-    if not (0 < eps < 1):
-        raise SpecError("eps must lie in (0, 1)")
-    exact = vs.mode == RATIONAL
-    if exact:
-        en, ed = Fraction(eps).as_integer_ratio()
-    counter = [0]
-    values = {1: ((), ())}
-    scale = 1
-    for length in range(1, max_block + 1):
-        coords = tuple(range(start + 1, start + length + 1))
-        s, moves = _moves(truncate_alphabet(vs, coords[-1], delta).weights)
-        scale *= s
-        values = _extend(values, moves, state_cap, counter)
-        one = scale if exact else 1
-        best = None
-        for v, (xw, yw) in values.items():
-            if xw == yw:
-                continue
-            score = min(abs(v - one), abs(v))
-            if (score * ed < en * scale if exact else score < eps) \
-                    and (best is None or score < best[0]):
-                best = (score, v, xw, yw, abs(v - one) <= abs(v))
-        if best is not None:
-            _, v, xw, yw, near_one = best
-            if exact:
-                v, target = Fraction(v, scale), Fraction(int(near_one))
-            else:
-                target = 1.0 if near_one else 0.0
-            return Witness(coords, xw, yw, v, target, eps, delta)
-    return None
-
-
 def brute_force_block(vs: ValidatedScheme, block: Block, targets: Iterable[Num],
                       state_cap: int = ORACLE_STATE_CAP) -> list:
     """Exact minimum of |target - D(x,y)| over all word pairs, per target.

@@ -209,9 +209,6 @@ class Indices:
             return self.members.index(n)
         return (n - self.start) // self.step
 
-    def first(self) -> int:
-        return self.members[0] if self.members is not None else self.start
-
     def describe(self) -> str:
         if self.members is not None:
             return f"{{{', '.join(map(str, self.members))}}}"
@@ -263,10 +260,7 @@ class ExplicitWeights:
             raise NonPositiveWeight(f"explicit template has a non-positive weight")
 
     def normalized(self):
-        order = sorted(range(len(self.weights)), key=lambda i: (-self.weights[i], i))
-        total = self.total()
-        new = tuple(_div(self.weights[i], total) for i in order)
-        return ExplicitWeights(new), tuple(order)
+        return ExplicitWeights(_descending_normalized(self.weights))
 
     def is_normalized(self, mode: str) -> bool:
         return _is_sorted_desc(self.weights) and _sums_to_one(self.weights, mode)
@@ -337,10 +331,7 @@ class GeometricTail:
         while t > smallest:
             t = t * self.ratio
             pulled.append(t)
-        new = tuple(sorted(base + pulled, reverse=True))
-        record = ("merged", len(pulled)) if pulled else tuple(
-            sorted(range(len(base)), key=lambda i: (-base[i], i)))
-        return GeometricTail(new, self.ratio), record
+        return GeometricTail(tuple(sorted(base + pulled, reverse=True)), self.ratio)
 
     def is_normalized(self, mode: str) -> bool:
         return _is_sorted_desc(self.base) and _sums_to_one_value(self.total(), mode)
@@ -441,7 +432,7 @@ class TwoPoint:
                 "(integer power exponents) in rational mode")
 
     def normalized(self):
-        return self, (0, 1)
+        return self
 
     def is_normalized(self, mode: str) -> bool:
         return True
@@ -515,8 +506,7 @@ class Perturbed:
         else:
             order = sorted(range(k), key=lambda i: (-self.limit[i], i))
         total = sum(self.limit)
-        new = tuple(_div(self.limit[i], total) for i in order)
-        return Perturbed(new, self.deviation), tuple(order)
+        return Perturbed(tuple(_div(self.limit[i], total) for i in order), self.deviation)
 
     def is_normalized(self, mode: str) -> bool:
         return _is_sorted_desc(self.limit) and _sums_to_one(self.limit, mode)
@@ -578,7 +568,7 @@ class CappedGeometric:
             raise SpecError("capped geometric needs size_start >= 2 and size_step >= 1")
 
     def normalized(self):
-        return self, None
+        return self
 
     def is_normalized(self, mode: str) -> bool:
         return True
@@ -595,6 +585,11 @@ def _div(a, b) -> Num:
     if is_exact(a) and is_exact(b):
         return Fraction(a) / Fraction(b)
     return a / b
+
+
+def _descending_normalized(vec) -> tuple:
+    total = sum(vec)
+    return tuple(_div(w, total) for w in sorted(vec, reverse=True))
 
 
 def _is_sorted_desc(values) -> bool:
@@ -637,22 +632,12 @@ class SchemeSpec:
         object.__setattr__(self, "classes", tuple(self.classes))
 
 
-@dataclass(frozen=True)
-class FactorSpec:
+class FactorSpec(SchemeSpec):
     """Per-coordinate eigenvalue lists, possibly unnormalized.
 
     Shares the prefix/class structure of :class:`SchemeSpec`; templates
     are read as eigenvalue vectors.
     """
-
-    mode: str
-    prefix: tuple = ()
-    classes: tuple = ()
-
-    def __post_init__(self):
-        check_mode(self.mode)
-        object.__setattr__(self, "prefix", tuple(tuple(v) for v in self.prefix))
-        object.__setattr__(self, "classes", tuple(self.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -794,19 +779,9 @@ class ValidatedScheme:
             sup = max(sup, m)
         return sup
 
-    def symbol_recurs(self, i: int) -> bool:
-        sup = self.limsup_alphabet()
-        return True if sup is None else i < sup
-
     def all_two_point(self) -> bool:
         """True when every infinitely recurring coordinate is two-point."""
         return all(c.template.max_alphabet() == 2 for _, c in self.infinite_classes())
-
-    def describe(self) -> str:
-        lines = [f"mode={self.mode}, prefix length {len(self.prefix)}"]
-        for label, cls in zip(self.class_labels(), self.classes):
-            lines.append(f"  {label}: {cls.describe()}")
-        return "\n".join(lines)
 
 
 def validate(spec: SchemeSpec) -> ValidatedScheme:
@@ -820,32 +795,17 @@ def validate(spec: SchemeSpec) -> ValidatedScheme:
 @dataclass(frozen=True)
 class NormalizeResult:
     spec: SchemeSpec
-    prefix_permutations: tuple
-    class_permutations: tuple
 
 
 def normalize(spec: SchemeSpec) -> NormalizeResult:
     """Sort every weight vector descending and rescale to sum 1.
 
-    Symbol 0 carries the maximum weight afterwards.  The returned
-    permutation records map new symbol positions to original ones, one
-    record per prefix coordinate and per class.  Idempotent.
+    Symbol 0 carries the maximum weight afterwards.  Idempotent.
     """
-    prefix = []
-    prefix_perms = []
-    for vec in spec.prefix:
-        order = sorted(range(len(vec)), key=lambda i: (-vec[i], i))
-        total = sum(vec)
-        prefix.append(tuple(_div(vec[i], total) for i in order))
-        prefix_perms.append(tuple(order))
-    classes = []
-    class_perms = []
-    for cls in spec.classes:
-        tpl, perm = cls.template.normalized()
-        classes.append(IndexClass(cls.indices, tpl))
-        class_perms.append(perm)
-    out = SchemeSpec(spec.mode, tuple(prefix), tuple(classes))
-    return NormalizeResult(out, tuple(prefix_perms), tuple(class_perms))
+    prefix = tuple(_descending_normalized(vec) for vec in spec.prefix)
+    classes = tuple(IndexClass(cls.indices, cls.template.normalized())
+                    for cls in spec.classes)
+    return NormalizeResult(SchemeSpec(spec.mode, prefix, classes))
 
 
 # ---------------------------------------------------------------------------
@@ -866,8 +826,8 @@ def factor_to_scheme(factor: FactorSpec) -> SchemeSpec:
     """Eigenvalue lists to weight vectors: normalize each list descending.
 
     Zero eigenvalues carry no weight and are dropped.  Inverse of
-    :func:`scheme_to_factor` up to the recorded permutations.  The result
-    is not validated.
+    :func:`scheme_to_factor` up to the order of each vector's entries.
+    The result is not validated.
     """
     prefix = tuple(_strip_zero_entries(vec) for vec in factor.prefix)
     classes = []

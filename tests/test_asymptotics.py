@@ -3,48 +3,27 @@ import math
 import pytest
 
 from kriegerlab import (
-    Deviation, ExplicitWeights, GeometricTail, IndexClass, Indices, Perturbed,
-    SchemeSpec, SymbolFinite, TwoPoint, cluster_set_M_F, cluster_set_M_i,
-    constant_series, geometric_series, inf_liminf, lambda_clusters,
-    power_series, summability, union_cluster_report, validate,
+    CappedGeometric, Deviation, ExplicitWeights, GeometricTail, IndexClass,
+    Indices, Perturbed, SchemeSpec, TwoPoint, constant_series,
+    geometric_series, lambda_clusters, power_series, summability,
+    union_cluster_report, validate,
 )
 
 from conftest import (
-    ALL_N, EVENS, F, ODDS, capped_scheme, geometric_scheme, powers,
-    single_class, zero_one_spec,
+    EVENS, F, ODDS, capped_scheme, geometric_scheme, powers, single_class,
+    zero_one_spec,
 )
 
 
 # ---------------------------------------------------------------------------
-# per-symbol cluster sets
-
-def test_cluster_constant_geometric_symbol_two():
-    vs = validate(geometric_scheme(F(1, 2)))
-    rep = cluster_set_M_i(vs, 2)
-    assert rep.values() == (F(1, 4),)
-    assert rep.liminf == F(1, 4)
-
-
-def test_cluster_two_geometric_classes_union():
-    spec = SchemeSpec("rational", (), (
-        IndexClass(EVENS, GeometricTail((F(1, 2),), F(1, 2))),
-        IndexClass(ODDS, GeometricTail((F(2, 3),), F(1, 3)))))
-    rep = cluster_set_M_i(validate(spec), 1)
-    assert set(rep.values()) == {F(1, 2), F(1, 3)}
-
+# the union cluster report
 
 def test_cluster_perturbed_limit_ratio():
     spec = single_class(Perturbed((F(2, 3), F(1, 3)),
                                   Deviation("power", exponent=2.0)), mode="float")
-    rep = cluster_set_M_i(validate(spec), 1)
+    rep = union_cluster_report(validate(spec))
     assert len(rep.points) == 1
     assert abs(float(rep.points[0].value) - 0.5) < 1e-12
-
-
-def test_symbol_not_recurring_raises():
-    vs = validate(powers(F(1, 2)))
-    with pytest.raises(SymbolFinite):
-        cluster_set_M_i(vs, 2)
 
 
 def test_cluster_attainment_along_the_template():
@@ -53,7 +32,7 @@ def test_cluster_attainment_along_the_template():
     spec = single_class(Perturbed((F(2, 3), F(1, 3)),
                                   Deviation("power", exponent=1.0)), mode="float")
     vs = validate(spec)
-    point = float(cluster_set_M_i(vs, 1).points[0].value)
+    point = float(union_cluster_report(vs).points[0].value)
     samples = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
     best = min(abs(_ratio_at(vs, n, 1) - point) for n in samples)
     assert best <= 1e-6
@@ -65,63 +44,37 @@ def _ratio_at(vs, n, i):
 
 
 def test_cluster_sets_invariant_under_class_order():
+    # an explicit and a capped class share the points 1/2 and 1/4
     a = SchemeSpec("rational", (), (
-        IndexClass(EVENS, GeometricTail((F(1, 2),), F(1, 2))),
-        IndexClass(ODDS, GeometricTail((F(2, 3),), F(1, 3)))))
+        IndexClass(EVENS, ExplicitWeights((F(4, 7), F(2, 7), F(1, 7)))),
+        IndexClass(ODDS, CappedGeometric(F(1, 2), 3))))
     b = SchemeSpec("rational", (), tuple(reversed(a.classes)))
-    for i in (1, 2, 3):
-        va = set(cluster_set_M_i(validate(a), i).values())
-        vb = set(cluster_set_M_i(validate(b), i).values())
-        assert va == vb
+
+    def points(spec):
+        vs = validate(spec)
+        kinds = {label: c.template.kind for label, c in zip(vs.class_labels(), vs.classes)}
+        return [(p.value, {kinds[w] for w in p.witnesses})
+                for p in union_cluster_report(vs).points]
+
+    assert points(a) == points(b) == [(F(1, 8), {"capped_geometric"}),
+                                      (F(1, 4), {"explicit", "capped_geometric"}),
+                                      (F(1, 2), {"explicit", "capped_geometric"})]
 
 
 # ---------------------------------------------------------------------------
-# transient-symbol report
-
-def test_all_symbols_recurring_gives_empty_report():
-    spec = SchemeSpec("rational", (), (
-        IndexClass(ALL_N, GeometricTail((F(1, 2),), F(1, 2))),))
-    rep = cluster_set_M_F(validate(spec))
-    assert rep.points == ()
-    assert not rep.contains_zero
-
-
-def _marching_prefix_spec(mode):
-    # transient symbols 2..6 with ratios marching toward zero, down to 1e-15
-    prefix = []
-    for k in range(2, 7):
-        big = F(10) ** (2 * k)
-        vec = [big, big] + [F(10) ** (2 * k - 3 * j) for j in range(1, k)]
-        total = sum(vec)
-        prefix.append(tuple(v / total if mode == "rational" else float(v / total)
-                            for v in vec))
-    lam = F(1, 2) if mode == "rational" else 0.5
-    return SchemeSpec(mode, tuple(prefix), (IndexClass(Indices(6, 1), TwoPoint("const", lam)),))
-
+# the zero flag of a cluster report
 
 def test_prefix_ratios_near_zero_set_the_flag():
     # a float within 1e-9 of 0 is 0, as in every cluster decision
-    rep = cluster_set_M_F(validate(_marching_prefix_spec("float")))
-    assert rep.contains_zero
-    assert all(not p.recurring for p in rep.points)
+    lr = lambda_clusters(validate(single_class(TwoPoint("const", 1e-15), mode="float")))
+    assert lr.clusters.contains_zero
 
 
 def test_rational_prefix_ratios_near_zero_are_not_zero():
     # rationals compare exactly: 1/10**15 is not 0
-    rep = cluster_set_M_F(validate(_marching_prefix_spec("rational")))
-    assert min(rep.values()) == F(1, 10 ** 15)
-    assert not rep.contains_zero
-
-
-def test_single_finite_class_ratio_group():
-    # symbol 2 appears only in the finite class; its ratio 18/20 = 9/10
-    spec = SchemeSpec("rational", (), (
-        IndexClass(Indices(members=(1,)),
-                   ExplicitWeights((F(20, 57), F(19, 57), F(18, 57)))),
-        IndexClass(Indices(2, 1), TwoPoint("const", F(1, 2)))))
-    rep = cluster_set_M_F(validate(spec))
-    assert rep.values() == (F(9, 10),)
-    assert rep.liminf == F(9, 10)
+    lr = lambda_clusters(validate(powers(F(1, 10 ** 15))))
+    assert lr.clusters.values() == (F(1, 10 ** 15),)
+    assert not lr.clusters.contains_zero
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +120,7 @@ def test_lambda_matches_generic_ratio_clusters():
         IndexClass(ODDS, TwoPoint("const", F(1, 2))),
         IndexClass(EVENS, TwoPoint("const", F(2, 5)))))
     vs = validate(spec)
-    assert set(lambda_clusters(vs).limits()) == set(cluster_set_M_i(vs, 1).values())
+    assert set(lambda_clusters(vs).limits()) == set(union_cluster_report(vs).values())
 
 
 # ---------------------------------------------------------------------------
@@ -218,31 +171,30 @@ def test_geometric_series_far_out_is_summable_without_forming_its_total():
 
 
 # ---------------------------------------------------------------------------
-# inf liminf
+# inf liminf, read off the union report
 
 def test_inf_liminf_infinite_alphabets_is_zero():
-    assert inf_liminf(validate(geometric_scheme(F(1, 2)))) == 0
+    assert union_cluster_report(validate(geometric_scheme(F(1, 2)))).inf_liminf() == 0
 
 
 def test_inf_liminf_bounded_alphabets_min_cluster():
     spec = SchemeSpec("rational", (), (
         IndexClass(ODDS, ExplicitWeights((F(4, 7), F(2, 7), F(1, 7)))),
         IndexClass(EVENS, ExplicitWeights((F(2, 3), F(1, 3))))))
-    assert inf_liminf(validate(spec)) == F(1, 4)
+    assert union_cluster_report(validate(spec)).inf_liminf() == F(1, 4)
 
 
 def test_inf_liminf_mixed_any_infinite_gives_zero():
     spec = SchemeSpec("rational", (), (
         IndexClass(ODDS, GeometricTail((F(1, 2),), F(1, 2))),
         IndexClass(EVENS, ExplicitWeights((F(2, 3), F(1, 3))))))
-    assert inf_liminf(validate(spec)) == 0
+    assert union_cluster_report(validate(spec)).inf_liminf() == 0
 
 
 def test_capped_liminf_positive_and_union_report():
-    vs = validate(capped_scheme(F(1, 2), 3))
-    assert inf_liminf(vs) == F(1, 8)
-    rep = union_cluster_report(vs)
-    assert set(rep.values(recurring_only=True)) == {F(1, 2), F(1, 4), F(1, 8)}
+    rep = union_cluster_report(validate(capped_scheme(F(1, 2), 3)))
+    assert rep.inf_liminf() == F(1, 8)
+    assert set(rep.values()) == {F(1, 2), F(1, 4), F(1, 8)}
     assert not rep.unbounded
 
 

@@ -232,7 +232,7 @@ def test_capped_growing_alphabets_cyclic():
     spec = capped_scheme(F(1, 2), 3)
     vs = validate(spec)
     rep = union_cluster_report(vs)
-    values = sorted(rep.values(recurring_only=True))
+    values = sorted(rep.values())
     assert values == [F(1, 8), F(1, 4), F(1, 2)]
     exps = [round(math.log(float(x)) / math.log(0.5)) for x in values]
     assert math.gcd(*exps) == 1

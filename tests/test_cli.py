@@ -294,6 +294,24 @@ def test_budget_flags_validated(capsys):
     assert code == 1
 
 
+DELTA_ARGS = {
+    "witness": ["--target", "1/2", "--eps", "1/1000"],
+    "oracle": ["--targets", "1/2"],
+    "sample": ["--samples", "10"],
+    "report": ["--samples", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DELTA_ARGS))
+def test_delta_out_of_range_has_one_message(capsys, command):
+    # the truncation check is the one range check of --delta, on every command
+    for delta in ("0", "3/4", "2"):
+        code, _, err = run_cli(capsys, command, str(SPEC_DIR / "powers_half.spec"),
+                               *DELTA_ARGS[command], "--delta", delta)
+        assert (delta, code, err) == (
+            delta, 1, "error: truncation budget delta must be in (0, 1/2]\n")
+
+
 def test_report_flags_disagreement_for_geometric_tail(capsys):
     # every achievable ratio of this scheme is a power of 2, which the
     # sampling probe sees as a lattice; the analytic branch labels it by

@@ -12,7 +12,7 @@ from kriegerlab import (
     SearchBudgetExceeded, SpecError, SymbolOutOfRange, Witness, WordLengthMismatch,
     block_for, brute_force_block, cocycle_ratio, compose_witnesses, estimate_ratio_set,
     lattice_detect, log_cocycle, mc_sample_cocycle, replay_witness, truncate_alphabet,
-    validate, witness_search, witness_search_extremes,
+    validate, witness_search,
 )
 from kriegerlab import cocycle, normalize
 from kriegerlab.cli import _load_scheme
@@ -671,39 +671,6 @@ def test_samples_exact_lattice_for_rational_lambda(lam):
             continue
         k = round(math.log(float(r)) / math.log(float(lam)))
         assert lam ** k == r
-
-
-def test_extremes_search_nontrivial_unit_witness(powers_half):
-    # near 1 needs a genuinely changed word: the swap at two coordinates
-    w = witness_search_extremes(powers_half, F(1, 100), max_block=4)
-    assert w.x != w.y
-    assert w.value == 1
-    assert w.target == 1
-    assert len(w.coordinates) == 2
-
-
-def test_extremes_search_needs_a_changed_word():
-    # every ratio of the uniform two-point scheme is 1, reached only with x == y
-    vs = validate(uniform_two_point())
-    assert witness_search_extremes(vs, F(1, 2), max_block=4) is None
-
-
-def test_extremes_search_near_zero():
-    # weights (1-eps_n, eps_n): a single flip lands next to 0
-    from conftest import type_one_spec
-    vs = validate(normalize_spec(type_one_spec()))
-    w = witness_search_extremes(vs, F(1, 100), start=10, max_block=4)
-    assert w.x != w.y
-    assert w.target == 0
-    assert abs(w.value) < F(1, 100)
-
-
-def test_extremes_search_zero_one_scheme():
-    from conftest import zero_one_spec
-    vs = validate(normalize_spec(zero_one_spec()))
-    w = witness_search_extremes(vs, 0.01, start=2000, max_block=4)
-    assert w.x != w.y
-    assert min(abs(w.value - 1), abs(w.value)) < 0.01
 
 
 def test_geometric_achieves_every_dyadic_value():

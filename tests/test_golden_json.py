@@ -10,12 +10,9 @@ import json
 
 import pytest
 
-from kriegerlab import (
-    FactorSpec, factor_to_scheme, load_spec, normalize, validate, witness_search_extremes,
-)
 from kriegerlab.cli import main
 
-from conftest import SPEC_DIR, F
+from conftest import SPEC_DIR
 
 ARGS = {
     "classify": [],
@@ -31,18 +28,18 @@ START = {("capped_half.spec", "sample"): "200", ("capped_half.spec", "report"): 
 
 GOLDEN = {
     "capped_half.spec": {
-        "classify": (0, "520e5ed7251eed0da0f135bfe4c2c07484ef31609d871b783a9bab6554796f0d"),
+        "classify": (0, "f0c7a966aafe6f49f799e7d94ee5278e16ec5eae96e4fc41f110d32bcf62ea42"),
         "witness": (2, "e6bde610da5a880cd279d1ab10f1c2f8e5f395fc517262b84fdbd3c1141d0c7b"),
         "oracle": (0, "2afe68499855114de9ce75bf226ea8fe1b50ea39b529e1c8db0036f29cd67c93"),
         "sample": (0, "11d679ac3855392b98a07c4a81074846c87414bb326ee37a35173f37db2303e0"),
-        "report": (0, "737630e97ad4fbe48346172c721139f07369788d174fca955e238e1e388a081e"),
+        "report": (0, "eb93f844fd513f31895eeec114d247d2d7b1df396834b8f19bcccca39b0a7218"),
     },
     "geom_half.spec": {
-        "classify": (0, "18c88c1098c6b1a068b6f2ac35864bab005fbeccc019134a0cb45cd6264712fe"),
+        "classify": (0, "5507dc1d1a850be328e83c73611fb533714f7ce5f786c4c8755591319c215ecf"),
         "witness": (2, "d24e2c1544e6e1e0af15bfae0d2df2954af1fef1a75a80e642dda859771c0531"),
         "oracle": (0, "4a4af1c7a5ec19f65918fd3a30bcd167a465aae09a2c646db026e7799351d868"),
         "sample": (0, "364c2853c30eb734e56e7a1dd896d21428403a026de8b85f218401afe1cd7532"),
-        "report": (0, "c0586cf94d29c6fcef3ffdf9529cfd2bb0315a177ba046b409f298040bd7a141"),
+        "report": (0, "65e4b6590d435eb4013358a55e0dfc91e6a343ba04d3e01b9b73a1692fa68fd0"),
     },
     "interleave_2_3.spec": {
         "classify": (0, "ce5147be63c032385976bbb029f68b6dd1f0854ce578073fc45c0e3ac5ee78ec"),
@@ -141,15 +138,15 @@ def _tail_spec(base, ratio, prefix=(), mode="rational"):
 # that pins the float summation order
 TAIL_SPECS = {
     "tail_2_3": (_tail_spec(["1", "3/5"], "2/3", [["2/3", "1/3"]]),
-                 "a8e6549b70dd8854a7bd7ad39c4330c420aad9f1f4c9734e355afb7541960ab2"),
+                 "61c58da2e51aabd3116d7bd1497183da11af06679a54df2eca91de415afb8769"),
     "tail_3_4": (_tail_spec(["1", "2/7"], "3/4", [["1/2", "1/4", "1/4"]]),
-                 "49319c20b8e431b2c89d271cf28609178cca516189245c1028e3fcdbb90d99b8"),
+                 "7501ce01fcf203a45a8a705c1e5967cdbd6d6b919d49bc05ffbf7b0e40a5d4a9"),
     "tail_4_5": (_tail_spec(["1", "5/11"], "4/5", [["3/5", "2/5"], ["1/3", "1/3", "1/3"]]),
-                 "2b97d7a77580219e861f6cf9760657e8df47404063ae4d942c5574deb797fed2"),
+                 "38eb6b962581d00b23746998e6444d6400f0c7e6c8f62272c70725286c26e131"),
     "tail_5_7": (_tail_spec(["1", "7/13"], "5/7", [["5/6", "1/6"]]),
-                 "4408e51ea7947947ee20ebf201b938846712ba0441971e0ca532dd61b5b02ce0"),
+                 "58ce667dd4af9f22ded6bedf13a571f2da18ec1996dbffa7d44afab2b980d321"),
     "tail_float": (_tail_spec([0.2], 0.8, mode="float"),
-                   "16edb1260ee93e35679e78df6bc2b6ab1e021ed7f4a492aa10aae7cbe498ff28"),
+                   "077b386d2a1df88d25821d9463859bdcd3c2d1da8e8c19609713b2dac3227021"),
 }
 
 
@@ -231,38 +228,3 @@ def test_oracle_explicit_pinned(monkeypatch, capsys, tmp_path):
     code = main(["oracle", "explicit_7532.spec", *args, "--format", "json"])
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == expected
-
-
-# witness_search_extremes on every shipped spec: one digest per spec over
-# the witnesses (or None) at each start and eps, in this order
-EXTREME_STARTS = (0, 10, 200)
-EXTREME_EPS = (F(1, 10), F(1, 1000), F(1, 10 ** 9))
-EXTREMES = {
-    "capped_half.spec": "c727592afd3fb1ae351de9009896bed7e2070be44c2a9925e99c8b9995f30dea",
-    "geom_half.spec": "cb49833346ee6e2fdf001ad04cae321d82fb88f98db1e057c337369716ad53a5",
-    "interleave_2_3.spec": "be572de1fae4e6d8930ce03fafe9f6517d8fde2728d9a2ec9c754e75477f57ed",
-    "lambda_zero_one.spec": "a3668ff3015e4f205266ab4e21f16fe9b4710a58907f959a400c766ff8325bf1",
-    "powers_half.factor": "d4159efb39aaf62255e056b5791254034f1d372b8a67cd12ccb736b89b387799",
-    "powers_half.spec": "d4159efb39aaf62255e056b5791254034f1d372b8a67cd12ccb736b89b387799",
-    "two_inf.spec": "39af842979328b14e859a8143aab3ca4b43529f12508cfbad8d3f8c7b2651e8b",
-    "type_one.spec": "9b7e4aa8b5c34475098d8926b368cc718a6c4691f85fd4b1291836715ba6129e",
-    "uniform.spec": "a422934ccac803a62b30f8d739886b023ba793a5584dfb3b0ac03345c921cbac",
-}
-
-
-def extremes_table(spec_path):
-    spec = load_spec(spec_path)
-    vs = validate(factor_to_scheme(spec) if isinstance(spec, FactorSpec)
-                  else normalize(spec).spec)
-    table = []
-    for start in EXTREME_STARTS:
-        for eps in EXTREME_EPS:
-            w = witness_search_extremes(vs, eps, start=start, max_block=6)
-            table.append(None if w is None else w.to_dict())
-    return json.dumps(table, sort_keys=True)
-
-
-@pytest.mark.parametrize("spec", sorted(EXTREMES))
-def test_extremes_search_pinned(spec):
-    digest = hashlib.sha256(extremes_table(SPEC_DIR / spec).encode()).hexdigest()
-    assert digest == EXTREMES[spec]

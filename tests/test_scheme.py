@@ -110,7 +110,6 @@ def test_normalize_sorts_and_records_swap():
                       (IndexClass(ALL_N, TwoPoint("const", F(1, 2))),))
     result = normalize(spec)
     assert result.spec.prefix[0] == (F(2, 3), F(1, 3))
-    assert result.prefix_permutations[0] == (1, 0)
 
 
 def test_normalize_identity_on_sorted():
@@ -118,7 +117,6 @@ def test_normalize_identity_on_sorted():
                       (IndexClass(ALL_N, TwoPoint("const", F(1, 2))),))
     result = normalize(spec)
     assert result.spec.prefix[0] == (F(2, 3), F(1, 3))
-    assert result.prefix_permutations[0] == (0, 1)
 
 
 def test_normalize_rescales_unnormalized_vector():
@@ -323,35 +321,18 @@ def test_truncate_geometric_budget_half():
     assert t.retained_mass == F(1, 2)
 
 
-def test_normalize_permutation_record_semantics():
-    # record maps new position -> original position: new[k] = old[perm[k]]/total
-    old = (F(1, 6), F(3, 6), F(2, 6))
-    spec = SchemeSpec("rational", (old,),
-                      (IndexClass(Indices(2, 1), TwoPoint("const", F(1, 2))),))
-    result = normalize(spec)
-    perm = result.prefix_permutations[0]
-    new = result.spec.prefix[0]
-    total = sum(old)
-    assert all(new[k] == old[perm[k]] / total for k in range(3))
-    # round trip: the original order is recoverable from the record
-    recovered = tuple(new[perm.index(i)] * total for i in range(3))
-    assert recovered == old
-
-
 def test_geometric_tail_normalize_preserves_weight_multiset():
     # the tail continues from the last base entry; normalizing an unsorted
     # base must keep the same weights, pulling tail elements forward
     tpl = GeometricTail((F(1, 4), F(1, 2)), F(1, 2))
-    new, record = tpl.normalized()
+    new = tpl.normalized()
     total = tpl.total()
     assert total == F(5, 4)
     # original scaled vector: 1/5, 2/5, 1/5, 1/10, 1/20, ...
     assert new.base == (F(2, 5), F(1, 5), F(1, 5))
     assert new.ratio == F(1, 2)
-    assert record == ("merged", 1)
     assert new.is_normalized("rational")
-    again, _ = new.normalized()
-    assert again == new
+    assert new.normalized() == new
     vs = validate(single_class(new))
     w = truncate_alphabet(vs, 1, F(1, 10))
     assert w.weights == (F(2, 5), F(1, 5), F(1, 5), F(1, 10))
@@ -360,8 +341,7 @@ def test_geometric_tail_normalize_preserves_weight_multiset():
 def test_perturbed_deviation_anchor_respected():
     # with a deviation, symbol 0 must stay put: only the rest is sorted
     tpl = Perturbed((F(1, 2), F(1, 8), F(3, 8)), Deviation("power", exponent=1.0))
-    new, order = tpl.normalized()
-    assert order == (0, 2, 1)
+    new = tpl.normalized()
     assert new.limit == (F(1, 2), F(3, 8), F(1, 8))
     # a limit whose maximum is elsewhere cannot be anchored and is rejected
     bad = single_class(Perturbed((F(1, 8), F(1, 2), F(3, 8)),
