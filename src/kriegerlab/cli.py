@@ -110,13 +110,8 @@ def cmd_classify(args) -> int:
 
 def cmd_witness(args) -> int:
     vs = _load_scheme(args.spec)
-    _check_tolerance("eps", args.eps)
     _check_positive("max-block", args.max_block)
     _check_positive("state-cap", args.state_cap)
-    if args.target <= 0:
-        raise SpecError("target must be positive")
-    if args.eps >= args.target:
-        raise SpecError("eps must be smaller than the target")
     target = as_mode(args.target, vs.mode)
     eps = as_mode(args.eps, vs.mode)
     scope = {"start": args.start, "max_block": args.max_block,

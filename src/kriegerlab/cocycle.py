@@ -226,55 +226,57 @@ def _moves(weights) -> tuple:
     return scale, sorted(out.items())
 
 
-def _extend(values: dict, moves: list, state_cap: int, counter: list) -> dict:
-    """Extend achievable values by one coordinate's ``moves`` (see :func:`_moves`).
+def _extend(values: dict, ratios: list, state_cap: int, counter: list) -> dict:
+    """Extend achievable values by one coordinate's ``ratios`` (see :func:`_moves`).
 
-    Keeps the first word pair per value; ``counter`` accumulates
-    enumerated states against the cap.
+    Maps each new value to the first value of ``values`` that reached it;
+    ``counter`` accumulates enumerated states against the cap.
     """
-    counter[0] += len(values) * len(moves)
+    counter[0] += len(values) * len(ratios)
     if counter[0] > state_cap:
         raise SearchBudgetExceeded(
             f"enumeration exceeded the state cap of {state_cap}")
     nxt = {}
-    for value, (xw, yw) in values.items():
-        for r, (i, j) in moves:
+    for value in values:
+        for r in ratios:
             v = value * r
             if v not in nxt:
-                nxt[v] = (xw + (i,), yw + (j,))
+                nxt[v] = value
     return nxt
 
 
-def _product_values(coordinate_moves, state_cap: int, counter: list) -> dict:
-    """All achievable block values with one representative word pair each.
+# level 0: the empty word, whose int value keeps the moves' own arithmetic type
+_ROOT = ({1: None},)
 
-    Keys are over the product of the coordinates' scales; starts from the
-    int 1, which keeps the moves' own arithmetic type.
+
+def _levels(coordinate_moves, state_cap: int, counter: list, levels=_ROOT) -> list:
+    """``levels`` extended by one :func:`_extend` dict per coordinate.
+
+    Level k holds the values achievable on the first k coordinates, each
+    mapped to its parent on level k - 1.
     """
-    values = {1: ((), ())}
+    levels = list(levels)
     for moves in coordinate_moves:
-        values = _extend(values, moves, state_cap, counter)
-    return values
+        levels.append(_extend(levels[-1], [r for r, _ in moves], state_cap, counter))
+    return levels
 
 
-def _closest(left, right, query, gap, close):
-    """The (gap, value, left words, right words) of smallest gap that is close.
+def _words(levels: list, coordinate_moves, value) -> tuple:
+    """The word pair (x, y) that first reached ``value`` on the last level.
 
-    ``left`` and ``right`` are sorted (values, words) pairs; for each left
-    value a the right values next to query(a) are tried, with value the
-    product of the two.  Ties keep the first pair found.
+    Walks the parents back: at each coordinate the move is the first in
+    :func:`_moves` order with parent * r == value.  With integer keys that
+    move is the only one; in float mode the same product picks the same
+    first move that :func:`_extend` met.
     """
-    best = None
-    right_vals, right_words = right
-    for a, lw in zip(*left):
-        idx = bisect_right(right_vals, query(a))
-        for j in (idx - 1, idx):
-            if 0 <= j < len(right_vals):
-                value = a * right_vals[j]
-                g = gap(value)
-                if close(g) and (best is None or g < best[0]):
-                    best = (g, value, lw, right_words[j])
-    return best
+    x, y = [], []
+    for k in range(len(coordinate_moves), 0, -1):
+        parent = levels[k][value]
+        i, j = next(pair for r, pair in coordinate_moves[k - 1] if parent * r == value)
+        x.append(i)
+        y.append(j)
+        value = parent
+    return tuple(reversed(x)), tuple(reversed(y))
 
 
 def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
@@ -290,10 +292,12 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     statement over (max_block, delta, state_cap), the cap counting the
     states of this call, not a proof that the target is unreachable.
 
-    On rational schemes values are integer keys over the block's scale S
-    and target = tn/td, eps = en/ed (exactly, also when passed as
-    floats): a left key A is completed by the right keys B next to
-    (tn*S) // (td*A), and a pair is within eps when
+    Each enumerated value keeps one back-pointer, to the value it was
+    first reached from (see :func:`_levels`); words are rebuilt for the
+    returned pair only.  On rational schemes values are integer keys over
+    the block's scale S and target = tn/td, eps = en/ed (exactly, also
+    when passed as floats): a left key A is completed by the right keys
+    B next to (tn*S) // (td*A), and a pair is within eps when
     |A*B*td - tn*S| * ed < en * td * S.
     """
     if not 0 < target < math.inf:
@@ -305,34 +309,54 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
         tn, td = Fraction(target).as_integer_ratio()
         en, ed = Fraction(eps).as_integer_ratio()
     counter = [0]
+    memo = {}       # per call: a search depends only on its arguments
     moves = []
     scale = 1
-    left = {1: ((), ())}
+    left = _ROOT
     for length in range(1, max_block + 1):
-        s, m = _moves(truncate_alphabet(vs, start + length, delta).weights)
+        weights = truncate_alphabet(vs, start + length, delta).weights
+        entry = memo.get(weights)
+        if entry is None:
+            entry = memo[weights] = _moves(weights)
+        s, m = entry
         moves.append(m)
         scale *= s
         mid = (length + 1) // 2
         if length % 2:
-            left = _extend(left, moves[mid - 1], state_cap, counter)
-            left_sorted = tuple(zip(*sorted(left.items())))
-            right = _product_values(moves[mid:], state_cap, counter)
+            left = _levels(moves[mid - 1:mid], state_cap, counter, left)
+            left_vals = sorted(left[-1])
+            right = _levels(moves[mid:], state_cap, counter)
         else:
-            right = _extend(right, moves[-1], state_cap, counter)
-        right_sorted = tuple(zip(*sorted(right.items())))
+            right = _levels(moves[-1:], state_cap, counter, right)
+        right_vals = sorted(right[-1])
+        # left values ascending, idx - 1 before idx; a strict < keeps the
+        # first pair found
+        best = None
         if exact:
-            t_s, bound = tn * scale, en * td * scale
-            best = _closest(left_sorted, right_sorted, lambda a: t_s // (td * a),
-                            lambda v: abs(v * td - t_s), lambda g: g * ed < bound)
+            t_s = tn * scale
+            # g * ed < en * td * S exactly when g < ceil(en * td * S / ed)
+            best_g = -(-en * td * scale // ed)
+            for a in left_vals:
+                idx = bisect_right(right_vals, t_s // (td * a))
+                for b in right_vals[idx - 1 if idx else 0:idx + 1]:
+                    g = abs(a * b * td - t_s)
+                    if g < best_g:
+                        best_g, best = g, (a, b)
         else:
-            # a left value that underflowed to 0.0 completes to 0, never close
-            best = _closest(left_sorted, right_sorted,
-                            lambda a: target / a if a else math.inf,
-                            lambda v: abs(v - target), lambda g: g < eps)
+            best_g = eps
+            for a in left_vals:
+                # a left value that underflowed to 0.0 completes to 0, never close
+                idx = bisect_right(right_vals, target / a if a else math.inf)
+                for b in right_vals[idx - 1 if idx else 0:idx + 1]:
+                    g = abs(a * b - target)
+                    if g < best_g:
+                        best_g, best = g, (a, b)
         if best is not None:
-            _, value, lw, rw = best
-            return Witness(tuple(range(start + 1, start + length + 1)),
-                           lw[0] + rw[0], lw[1] + rw[1],
+            a, b = best
+            lx, ly = _words(left, moves[:mid], a)
+            rx, ry = _words(right, moves[mid:], b)
+            value = a * b
+            return Witness(tuple(range(start + 1, start + length + 1)), lx + rx, ly + ry,
                            Fraction(value, scale) if exact else value,
                            target, eps, delta)
     return None
@@ -344,16 +368,18 @@ def brute_force_block(vs: ValidatedScheme, block: Block, targets: Iterable[Num],
 
     Serves as the independence oracle for :func:`witness_search`: a
     direct product enumeration of every achievable value (deduplicated
-    exactly), then a linear scan.  Raises BlockTooLarge beyond the
-    state cap.  On rational blocks an exact target t = tn/td is at
-    distance |tn*S - A*td| / (td*S) from the key A over the block's
+    exactly, one back-pointer each), then a linear scan; words are
+    rebuilt for each target's closest value only.  Raises BlockTooLarge
+    beyond the state cap.  On rational blocks an exact target t = tn/td
+    is at distance |tn*S - A*td| / (td*S) from the key A over the block's
     scale S; a float target, as in float arithmetic, at |t - A/S|.
     """
     counter = [0]
     per_coordinate = [_moves(weights) for weights in block.alphabets]
     scale = math.prod(s for s, _ in per_coordinate)
+    moves = [m for _, m in per_coordinate]
     try:
-        values = _product_values([m for _, m in per_coordinate], state_cap, counter)
+        levels = _levels(moves, state_cap, counter)
     except SearchBudgetExceeded as exc:
         raise BlockTooLarge(str(exc)) from None
     exact = vs.mode == RATIONAL
@@ -367,16 +393,13 @@ def brute_force_block(vs: ValidatedScheme, block: Block, targets: Iterable[Num],
             gap = lambda v: abs(t - v / scale)
         else:
             gap = lambda v: abs(t - v)
-        best = None
-        best_pair = None
-        for v, pair in values.items():
-            d = gap(v)
-            if best is None or d < best:
-                best, best_pair = d, pair
+        # min keeps the first value of least gap, in enumeration order
+        value = min(levels[-1], key=gap)
+        best = gap(value)
         if exact and is_exact(t):
             best = Fraction(best, td * scale)
-        out.append({"target": t, "distance": best,
-                    "x": best_pair[0], "y": best_pair[1]})
+        x, y = _words(levels, moves, value)
+        out.append({"target": t, "distance": best, "x": x, "y": y})
     return out
 
 

@@ -122,6 +122,19 @@ def test_witness_bad_flags(capsys):
     assert code == 1
 
 
+def test_witness_eps_range_is_the_searchs(capsys):
+    # eps above 1 is fine below the target; the one message is the library's
+    spec = str(SPEC_DIR / "powers_half.spec")
+    code, out, _ = run_cli(capsys, "witness", spec, "--target", "4", "--eps", "3/2",
+                           "--format", "json")
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert (witness["coordinates"], witness["value"]) == ([1, 2], "4")
+    code, out, err = run_cli(capsys, "witness", spec, "--target", "4", "--eps", "5")
+    assert (code, out) == (1, "")
+    assert "eps must lie in (0, target)" in err
+
+
 # ---------------------------------------------------------------------------
 # sample / oracle
 

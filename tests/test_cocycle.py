@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import (
-    BlockTooLarge, ExplicitWeights, InsufficientSamples, OverlappingBlocks,
-    SearchBudgetExceeded, SpecError, SymbolOutOfRange, Witness, WordLengthMismatch,
+    BlockTooLarge, CappedGeometric, ExplicitWeights, IndexClass, Indices, InsufficientSamples,
+    OverlappingBlocks, SchemeSpec, SearchBudgetExceeded, SpecError, SymbolOutOfRange, Witness,
+    WordLengthMismatch,
     block_for, brute_force_block, cocycle_ratio, compose_witnesses, estimate_ratio_set,
     lattice_detect, log_cocycle, mc_sample_cocycle, replay_witness, truncate_alphabet,
     validate, witness_search,
@@ -344,6 +345,114 @@ def test_search_budget_message_matches_reference():
     assert str(caught.value) == "enumeration exceeded the state cap of 500"
 
 
+def _word_tuple_search(vs, target, eps, start=0, max_block=8, delta=F(1, 1000),
+                       state_cap=10 ** 8):
+    """witness_search on a float scheme as it ran with two word tuples per
+    value: the loop that the back-pointers replace, kept as the reference."""
+    counter = [0]
+
+    def extend(values, weights):
+        moves = _ratio_moves(weights)
+        counter[0] += len(values) * len(moves)
+        if counter[0] > state_cap:
+            raise SearchBudgetExceeded(f"enumeration exceeded the state cap of {state_cap}")
+        nxt = {}
+        for value, (xw, yw) in values.items():
+            for r, (i, j) in moves:
+                if value * r not in nxt:
+                    nxt[value * r] = (xw + (i,), yw + (j,))
+        return nxt
+
+    alphabets = []
+    left = {1: ((), ())}
+    for length in range(1, max_block + 1):
+        alphabets.append(truncate_alphabet(vs, start + length, delta).weights)
+        mid = (length + 1) // 2
+        if length % 2:
+            left = extend(left, alphabets[mid - 1])
+            right = {1: ((), ())}
+            for weights in alphabets[mid:]:
+                right = extend(right, weights)
+        else:
+            right = extend(right, alphabets[-1])
+        right_vals, right_words = zip(*sorted(right.items()))
+        best = None
+        for lv, lw in sorted(left.items()):
+            idx = bisect.bisect_right(right_vals, target / lv if lv else math.inf)
+            for j in (idx - 1, idx):
+                if 0 <= j < len(right_vals):
+                    value = lv * right_vals[j]
+                    dist = abs(value - target)
+                    if dist < eps and (best is None or dist < best[0]):
+                        best = (dist, value, lw, right_words[j])
+        if best is not None:
+            _, value, lw, rw = best
+            return Witness(tuple(range(start + 1, start + length + 1)),
+                           lw[0] + rw[0], lw[1] + rw[1], value, target, eps, delta)
+    return None
+
+
+FLOAT_SCHEMES = {
+    "lambda_zero_one": lambda: _load_scheme(SPEC_DIR / "lambda_zero_one.spec"),
+    # distinct ratios one ulp apart (0.45/0.15 = 3.0, 0.3/0.1 =
+    # 2.9999999999999996), which a product can round to one value
+    "explicit_repeated": lambda: validate(normalize_spec(single_class(ExplicitWeights(
+        (F(9, 40), F(9, 40), F(3, 20), F(3, 20), F(3, 40), F(3, 40), F(1, 20), F(1, 20))),
+        mode="float"))),
+    # past the third coordinate two moves of 2**-657 multiply to 0.0, and
+    # two of 2**657 to inf
+    "capped_underflow": lambda: validate(normalize_spec(single_class(
+        CappedGeometric(F(1, 2 ** 219), 3), mode="float"))),
+}
+
+
+@st.composite
+def float_search_inputs(draw):
+    """(scheme, target, eps, start, max_block, state_cap) on float schemes;
+    targets either random or next to a value that a random word pair achieves."""
+    vs = FLOAT_SCHEMES[draw(st.sampled_from(sorted(FLOAT_SCHEMES)))]()
+    start = draw(st.integers(0, 12))
+    max_block = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        target = draw(st.floats(min_value=0.02, max_value=5))
+    else:
+        blk = block_for(vs, start, max_block)
+        x, y = ([draw(st.integers(0, size - 1)) for size in blk.sizes()] for _ in range(2))
+        offset = draw(st.integers(-999, 999)) * 10.0 ** -draw(st.integers(3, 12))
+        target = cocycle_ratio(blk, x, y) * (1 + offset)
+    eps = target * draw(st.integers(1, 99)) / (100 * 10 ** draw(st.integers(0, 10)))
+    state_cap = draw(st.sampled_from([10 ** 8, 10 ** 8, 40, 300]))
+    return vs, target, eps, start, max_block, state_cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_search_inputs())
+def test_back_pointer_search_matches_word_tuple_search(inputs):
+    vs, target, eps, start, max_block, state_cap = inputs
+    if not 0 < eps < target < math.inf:
+        return
+    args = (vs, target, eps)
+    kwargs = {"start": start, "max_block": max_block, "state_cap": state_cap}
+    assert _outcome(witness_search, *args, **kwargs) == _outcome(_word_tuple_search, *args, **kwargs)
+
+
+@pytest.mark.parametrize("name,start", [("lambda_zero_one", 0), ("explicit_repeated", 0),
+                                        ("capped_underflow", 10)])
+def test_back_pointer_search_matches_word_tuple_search_on_every_value(name, start):
+    # each value of a 4-coordinate block as a target, with an eps below its
+    # ulp, so the witness is that value through whichever first move
+    # rounded to it; random targets seldom land on such a value
+    vs = FLOAT_SCHEMES[name]()
+    values = {1}
+    for weights in block_for(vs, start, 4).alphabets:
+        values = {v * r for v in values for r, _ in _ratio_moves(weights)}
+    for v in sorted(values):
+        eps = v / 2 ** 60
+        if 0 < eps and v < math.inf:
+            assert witness_search(vs, v, eps, start=start, max_block=4) \
+                == _word_tuple_search(vs, v, eps, start=start, max_block=4)
+
+
 def _fraction_oracle(block, targets):
     # every achievable Fraction value, then a linear scan of |t - v|
     values = {F(1): ((), ())}
@@ -366,13 +475,19 @@ def _fraction_oracle(block, targets):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(RATIONAL_SCHEMES)), st.integers(0, 12), st.integers(1, 4),
+@given(st.sampled_from(sorted(RATIONAL_SCHEMES) + sorted(FLOAT_SCHEMES)), st.integers(0, 12),
+       st.integers(1, 4),
        st.lists(st.fractions(min_value=F(1, 100), max_value=10, max_denominator=10 ** 5),
                 min_size=1, max_size=4),
        st.lists(st.booleans(), min_size=4, max_size=4))
 def test_oracle_matches_fraction_scan(name, start, length, targets, as_float):
-    # float targets keep their float distances
-    vs = validate(normalize_spec(RATIONAL_SCHEMES[name]()))
+    # float targets keep their float distances; on float blocks the scan's
+    # values are floats from its first move on
+    if name in FLOAT_SCHEMES:
+        vs = FLOAT_SCHEMES[name]()
+        as_float = [True] * 4
+    else:
+        vs = validate(normalize_spec(RATIONAL_SCHEMES[name]()))
     targets = [float(t) if f else t for t, f in zip(targets, as_float)]
     blk = block_for(vs, start, length)
     got = brute_force_block(vs, blk, targets)
@@ -380,6 +495,21 @@ def test_oracle_matches_fraction_scan(name, start, length, targets, as_float):
     assert got == want
     assert [type(r["distance"]) for r in got] == [type(r["distance"]) for r in want]
     assert [type(r["distance"]) for r in got] == [float if f else F for f in as_float[:len(targets)]]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_oracle_tie_keeps_enumeration_order(mode):
+    # D takes the values 1/6, 1/2, 3/2, 1/3, 1, 3, 2/3, 2, 6 in enumeration
+    # order; 5/4 lies 1/4 from both 3/2 and 1, and the first one found wins
+    vs = validate(SchemeSpec(mode, (), (
+        IndexClass(Indices(1, 2), ExplicitWeights((F(2, 3), F(1, 3)))),
+        IndexClass(Indices(2, 2), ExplicitWeights((F(3, 4), F(1, 4)))))))
+    blk = block_for(vs, 0, 2)
+    target = F(5, 4) if mode == "rational" else 1.25
+    got = brute_force_block(vs, blk, [target])
+    assert got == _fraction_oracle(blk, [target])
+    assert got[0]["distance"] == F(1, 4)
+    assert cocycle_ratio(blk, got[0]["x"], got[0]["y"]) == F(3, 2)
 
 
 def test_block_too_large_guard():
