@@ -19,7 +19,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exact import as_mode, format_scalar
+from .exact import ScalarError, as_mode, format_scalar
 from .classify import (
     LABEL_I_INF, LABEL_II_1, LABEL_II_INF, LABEL_III_0,
     LABEL_III_1, LABEL_III_LAMBDA, LABEL_INCONCLUSIVE, classify,
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (SpecFileError, SpecError, FileNotFoundError) as exc:
+    except (SpecFileError, SpecError, ScalarError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BlockTooLarge as exc:

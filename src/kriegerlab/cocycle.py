@@ -24,7 +24,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, cycle
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exact import RATIONAL, Num, _numerators, format_scalar, is_exact
 from .scheme import SpecError, ValidatedScheme, truncate_alphabet
@@ -96,9 +96,25 @@ def block_for(vs: ValidatedScheme, start: int, length: int,
 
 def _block(vs: ValidatedScheme, coords: tuple, delta: Num) -> Block:
     """The block on the given coordinates, which need not be contiguous."""
-    truncated = [truncate_alphabet(vs, n, delta) for n in coords]
+    truncated = list(_by_alphabet(vs, coords, lambda n: truncate_alphabet(vs, n, delta)))
     return Block(coords, tuple(t.weights for t in truncated),
                  tuple(t.retained_mass for t in truncated), delta)
+
+
+def _by_alphabet(vs: ValidatedScheme, coords: Iterable[int], build) -> Iterator:
+    """``build(n)`` for each coordinate n in turn, once per alphabet key.
+
+    Coordinates of one :meth:`~kriegerlab.scheme.ValidatedScheme.alphabet_key`
+    share the first result.  The memo lives in one call only, and the
+    coordinates are reached lazily, so a search that stops early never
+    builds the coordinates past its stop.
+    """
+    memo = {}
+    for n in coords:
+        key = vs.alphabet_key(n)
+        if key not in memo:
+            memo[key] = build(n)
+        yield memo[key]
 
 
 def _check_words(block: Block, x: Sequence[int], y: Sequence[int]):
@@ -226,16 +242,21 @@ def _moves(weights) -> tuple:
     return scale, sorted(out.items())
 
 
+def _charge(counter: list, states: int, state_cap: int):
+    """Add ``states`` to ``counter`` and raise once it passes the cap."""
+    counter[0] += states
+    if counter[0] > state_cap:
+        raise SearchBudgetExceeded(
+            f"enumeration exceeded the state cap of {state_cap}")
+
+
 def _extend(values: dict, ratios: list, state_cap: int, counter: list) -> dict:
     """Extend achievable values by one coordinate's ``ratios`` (see :func:`_moves`).
 
     Maps each new value to the first value of ``values`` that reached it;
     ``counter`` accumulates enumerated states against the cap.
     """
-    counter[0] += len(values) * len(ratios)
-    if counter[0] > state_cap:
-        raise SearchBudgetExceeded(
-            f"enumeration exceeded the state cap of {state_cap}")
+    _charge(counter, len(values) * len(ratios), state_cap)
     nxt = {}
     for value in values:
         for r in ratios:
@@ -249,15 +270,27 @@ def _extend(values: dict, ratios: list, state_cap: int, counter: list) -> dict:
 _ROOT = ({1: None},)
 
 
-def _levels(coordinate_moves, state_cap: int, counter: list, levels=_ROOT) -> list:
+def _levels(coordinate_moves, state_cap: int, counter: list, levels=_ROOT,
+            shared=((), ())) -> list:
     """``levels`` extended by one :func:`_extend` dict per coordinate.
 
     Level k holds the values achievable on the first k coordinates, each
-    mapped to its parent on level k - 1.
+    mapped to its parent on level k - 1.  ``shared`` holds the (levels,
+    coordinate moves) of another enumeration from the same root: where
+    level k - 1 is its level k - 1 and coordinate k carries the very same
+    move list, level k is its level k, taken instead of rebuilt.  Its
+    states are counted all the same, so a cap trips at the same step, with
+    the same message, as on a rebuild.
     """
     levels = list(levels)
+    other, other_moves = shared
     for moves in coordinate_moves:
-        levels.append(_extend(levels[-1], [r for r, _ in moves], state_cap, counter))
+        k = len(levels)
+        if k < len(other) and levels[-1] is other[k - 1] and moves is other_moves[k - 1]:
+            _charge(counter, len(levels[-1]) * len(moves), state_cap)
+            levels.append(other[k])
+        else:
+            levels.append(_extend(levels[-1], [r for r, _ in moves], state_cap, counter))
     return levels
 
 
@@ -287,10 +320,18 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
 
     Meet in the middle: exact values of the first ceil(length/2)
     coordinates (grown at odd lengths) against the sorted values of the
-    rest (grown by the new coordinate at even lengths).  Returns a witness
-    on the smallest block length admitting one, or None: a bounded-scope
-    statement over (max_block, delta, state_cap), the cap counting the
-    states of this call, not a proof that the target is unreachable.
+    rest (rebuilt at odd lengths, grown by the new coordinate at even
+    lengths).  Returns a witness on the smallest block length admitting
+    one, or None: a bounded-scope statement over (max_block, delta,
+    state_cap), the cap counting the states of this call, not a proof
+    that the target is unreachable.
+
+    Each distinct alphabet (see :func:`_by_alphabet`) is truncated and
+    turned into moves once per call.  Where the right half's first
+    coordinates carry the left half's alphabets, its levels and their
+    sorted keys are the left's, shared rather than rebuilt (see
+    :func:`_levels`); a shared level counts against the cap as if it
+    were enumerated, so the cap trips exactly where a rebuild trips.
 
     Each enumerated value keeps one back-pointer, to the value it was
     first reached from (see :func:`_levels`); words are rebuilt for the
@@ -309,26 +350,24 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
         tn, td = Fraction(target).as_integer_ratio()
         en, ed = Fraction(eps).as_integer_ratio()
     counter = [0]
-    memo = {}       # per call: a search depends only on its arguments
-    moves = []
+    per_alphabet = _by_alphabet(vs, range(start + 1, start + max_block + 1),
+                                lambda n: _moves(truncate_alphabet(vs, n, delta).weights))
+    moves = []      # per coordinate; one list object per alphabet
     scale = 1
     left = _ROOT
-    for length in range(1, max_block + 1):
-        weights = truncate_alphabet(vs, start + length, delta).weights
-        entry = memo.get(weights)
-        if entry is None:
-            entry = memo[weights] = _moves(weights)
-        s, m = entry
+    left_keys = {0: sorted(_ROOT[0])}     # level k of the left -> its sorted keys
+    for length, (s, m) in enumerate(per_alphabet, 1):
         moves.append(m)
         scale *= s
         mid = (length + 1) // 2
         if length % 2:
             left = _levels(moves[mid - 1:mid], state_cap, counter, left)
-            left_vals = sorted(left[-1])
-            right = _levels(moves[mid:], state_cap, counter)
+            left_vals = left_keys[mid] = sorted(left[-1])
+            right = _levels(moves[mid:], state_cap, counter, shared=(left, moves))
         else:
-            right = _levels(moves[-1:], state_cap, counter, right)
-        right_vals = sorted(right[-1])
+            right = _levels(moves[-1:], state_cap, counter, right, (left, moves))
+        k = len(right) - 1
+        right_vals = left_keys[k] if right[k] is left[k] else sorted(right[k])
         # left values ascending, idx - 1 before idx; a strict < keeps the
         # first pair found
         best = None
@@ -457,16 +496,16 @@ def _derived_seed(seed: int, stream: int) -> int:
     return (seed ^ ((stream + 1) * _GOLDEN)) & _MASK64
 
 
-def _exact_table(weights, retained) -> list:
+def _exact_table(numerators, retained) -> list:
     """Exact symbol thresholds of one rational coordinate for ``random()``.
 
-    ``random()`` returns u = k / 2**53.  With L the lcm of the weight
-    denominators, C_i = L * cums[i] and retained = R / S, cums[i] <= u *
-    retained exactly when k >= T_i = ceil(C_i * S * 2**53 / (R * L)), and
-    min(T_i, 2**53) / 2**53 is an exact double.  The last one is dropped,
-    which clamps the pick to the alphabet.
+    ``random()`` returns u = k / 2**53.  With (L, N) = ``numerators``, the
+    :func:`_numerators` of the weights, C_i = L * cums[i] and retained =
+    R / S, cums[i] <= u * retained exactly when k >= T_i = ceil(C_i * S *
+    2**53 / (R * L)), and min(T_i, 2**53) / 2**53 is an exact double.  The
+    last one is dropped, which clamps the pick to the alphabet.
     """
-    lcm, nums = _numerators(weights)
+    lcm, nums = numerators
     num, den = retained.denominator << 53, retained.numerator * lcm
     return [min(-(-c * num // den), 1 << 53) * 2.0 ** -53
             for c in accumulate(nums[:-1])]
@@ -494,13 +533,19 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
         raise SpecError("n_samples must be >= 1")
     block = block_for(vs, start, window, delta)
     exact = vs.mode == RATIONAL
-    if exact:
-        tables = [_exact_table(a, r) for a, r in zip(block.alphabets, block.retained)]
-        # w[b]/w[a] = N[b]/N[a] over each coordinate's common denominator
-        nums = [_numerators(a)[1] for a in block.alphabets]
-    else:
-        tables = [_float_table(a) for a in block.alphabets]
-        lgs = [[_log_of(w) for w in a] for a in block.alphabets]
+    columns = dict(zip(block.coordinates, zip(block.alphabets, block.retained)))
+
+    def tabulate(n):
+        weights, retained = columns[n]
+        if exact:
+            # w[b]/w[a] = N[b]/N[a] over the coordinate's common denominator
+            numerators = _numerators(weights)
+            return _exact_table(numerators, retained), numerators[1]
+        return _float_table(weights), [_log_of(w) for w in weights]
+    # per coordinate, built once per distinct alphabet as the block
+    # truncates it: the draw thresholds, and each symbol's numerator
+    # (rational) or log weight (float)
+    tables, per_symbol = zip(*_by_alphabet(vs, block.coordinates, tabulate))
     logs = []
     ratios = [] if exact else None
     moves = []
@@ -517,7 +562,7 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
             # the reduced exact ratio over the changed coordinates; its log
             # is 0.0 exactly when D = 1
             num = den = 1
-            for n, a, b in zip(nums, x, y):
+            for n, a, b in zip(per_symbol, x, y):
                 if a != b:
                     num *= n[b]
                     den *= n[a]
@@ -527,7 +572,7 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
         else:
             # added left to right as log_cocycle does; sum() may compensate
             total = 0.0
-            for lg, a, b in zip(lgs, x, y):
+            for lg, a, b in zip(per_symbol, x, y):
                 total += lg[b] - lg[a]
             logs.append(total)
         moves.append((x, y))

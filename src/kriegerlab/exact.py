@@ -10,7 +10,7 @@ certificate derived from it.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -51,7 +51,7 @@ def parse_scalar(value, mode: str) -> Num:
             raise ScalarError(f"cannot parse scalar {value!r}: {exc}") from None
     else:
         raise ScalarError(f"cannot parse scalar of type {type(value).__name__}")
-    return x if mode == RATIONAL else float(x)
+    return as_mode(x, mode)
 
 
 def format_scalar(x: Num):
@@ -68,12 +68,22 @@ def format_scalar(x: Num):
 
 def as_mode(x: Num, mode: str) -> Num:
     if mode == FLOAT:
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:
+            raise ScalarError(f"{_approx(x)} lies beyond the range of a float; "
+                              "use rational mode") from None
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     raise ScalarError(f"{x!r} is not exact; rational mode requires Fraction data")
+
+
+def _approx(x) -> str:
+    """An exact scalar to six significant digits, at any magnitude."""
+    f = Fraction(x)
+    return str((Decimal(f.numerator) / f.denominator).normalize(Context(prec=6)))
 
 
 def is_exact(x: Num) -> bool:

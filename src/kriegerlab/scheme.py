@@ -237,6 +237,7 @@ class ExplicitWeights:
 
     kind = "explicit"
     deviation = ZERO_DEVIATION       # constant, like a zero-deviation two-point class
+    coordinate_free = True
 
     def alphabet_size(self, pos: int = 0) -> int:
         return len(self.weights)
@@ -283,6 +284,7 @@ class GeometricTail:
     ratio: Num
 
     kind = "geometric_tail"
+    coordinate_free = True
 
     def alphabet_size(self, pos: int = 0):
         return None
@@ -366,6 +368,10 @@ class TwoPoint:
 
     def max_alphabet(self):
         return 2
+
+    @property
+    def coordinate_free(self) -> bool:
+        return self.form == TP_CONST
 
     def needs_float(self) -> bool:
         return self.form in (TP_EXP, TP_ONE_MINUS_EXP)
@@ -469,6 +475,10 @@ class Perturbed:
     def max_alphabet(self):
         return len(self.limit)
 
+    @property
+    def coordinate_free(self) -> bool:
+        return self.deviation.family == ZERO
+
     def needs_float(self) -> bool:
         return not self.deviation.family == ZERO
 
@@ -534,6 +544,7 @@ class CappedGeometric:
     size_step: int = 1
 
     kind = "capped_geometric"
+    coordinate_free = False          # the alphabet grows with the class position
 
     def alphabet_size(self, pos: int = 0) -> int:
         return self.size_start + self.size_step * pos
@@ -578,6 +589,8 @@ class CappedGeometric:
                 f"sizes={self.size_start}+{self.size_step}*pos)")
 
 
+# every template says by ``coordinate_free`` whether all coordinates of
+# its class carry one alphabet (see ValidatedScheme.alphabet_key)
 Template = Union[ExplicitWeights, GeometricTail, TwoPoint, Perturbed, CappedGeometric]
 
 
@@ -762,6 +775,17 @@ class ValidatedScheme:
         if where == "prefix":
             return tuple(as_mode(w, self.mode) for w in self.prefix[pos])
         return self.classes[where].template.weights_at(n, pos, self.mode)
+
+    def alphabet_key(self, n: int):
+        """A key that two coordinates share only if their alphabets are equal.
+
+        The class, when its template gives every coordinate of the class
+        one alphabet (``coordinate_free``); otherwise the coordinate.
+        """
+        where, _ = self.locate(n)
+        if where != "prefix" and self.classes[where].template.coordinate_free:
+            return ("class", where)
+        return ("coordinate", n)
 
     def infinite_classes(self):
         return tuple((k, c) for k, c in enumerate(self.classes) if c.indices.infinite)

@@ -445,3 +445,19 @@ def test_geometric_tail_on_a_finite_class_is_an_input_error(tmp_path, capsys):
         assert (code, out) == (1, "")
         assert "the series tests need finite alphabets on finite classes" in err
     assert run_cli(capsys, "sample", str(path), "--samples", "5", "--window", "4")[0] == 0
+
+
+BEYOND_FLOAT = {
+    "witness": ["--target", "1e400", "--eps", "1/2"],
+    "oracle": ["--targets", "1e400"],
+    "classify": ["--c", "1e400"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BEYOND_FLOAT))
+def test_scalar_beyond_the_float_range_is_an_input_error(capsys, command):
+    # a float-mode spec converts the flag to a double, which 1e400 exceeds
+    code, out, err = run_cli(capsys, command, str(SPEC_DIR / "lambda_zero_one.spec"),
+                             *BEYOND_FLOAT[command])
+    assert (code, out) == (1, "")
+    assert err == "error: 1E+400 lies beyond the range of a float; use rational mode\n"

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from kriegerlab import (
     BlockTooLarge, CappedGeometric, ExplicitWeights, IndexClass, Indices, InsufficientSamples,
-    OverlappingBlocks, SchemeSpec, SearchBudgetExceeded, SpecError, SymbolOutOfRange, Witness,
-    WordLengthMismatch,
+    OverlappingBlocks, SchemeSpec, SearchBudgetExceeded, SpecError, SymbolOutOfRange, TwoPoint,
+    Witness, WordLengthMismatch,
     block_for, brute_force_block, cocycle_ratio, compose_witnesses, estimate_ratio_set,
     lattice_detect, log_cocycle, mc_sample_cocycle, replay_witness, truncate_alphabet,
     validate, witness_search,
@@ -18,6 +18,7 @@ from kriegerlab import (
 from kriegerlab import cocycle, normalize
 from kriegerlab.cli import _load_scheme
 from kriegerlab.cocycle import _moves, _ratio_moves
+from kriegerlab.exact import _numerators
 
 from conftest import (
     F, SPEC_DIR, capped_scheme, geometric_scheme, interleave, powers, single_class,
@@ -59,6 +60,42 @@ def test_word_errors(powers_half):
         cocycle_ratio(blk, (0,), (0, 1))
     with pytest.raises(SymbolOutOfRange):
         cocycle_ratio(blk, (0, 2), (0, 1))
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` made after this point."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_block_truncates_each_alphabet_once(powers_half, monkeypatch):
+    truncations = _count_calls(monkeypatch, cocycle, "truncate_alphabet")
+    blk = block_for(powers_half, 0, 20)
+    assert len(truncations) == 1
+    assert len(set(map(id, blk.alphabets))) == 1
+    # a capped_geometric alphabet grows with the coordinate
+    truncations.clear()
+    blk = block_for(validate(capped_scheme()), 0, 20)
+    assert len(truncations) == 20
+    assert blk.sizes() == tuple(range(2, 22))
+
+
+def test_sampler_tabulates_each_alphabet_once(monkeypatch):
+    tables = _count_calls(monkeypatch, cocycle, "_exact_table")
+    numerators = _count_calls(monkeypatch, cocycle, "_numerators")
+    a = mc_sample_cocycle(validate(interleave(F(1, 2), F(1, 3))), seed=3, n_samples=20, window=9)
+    assert len(tables) == len(numerators) == 2
+    tables.clear()
+    numerators.clear()
+    b = mc_sample_cocycle(validate(capped_scheme()), seed=3, n_samples=20, window=9)
+    assert len(tables) == len(numerators) == 9
+    assert len(a.ratios) == len(b.ratios) == 20
 
 
 def test_antisymmetry_and_additivity(powers_half):
@@ -278,6 +315,16 @@ def _outcome(search, *args, **kwargs):
 
 RATIONAL_SCHEMES = {
     "powers_2_3": lambda: powers(F(2, 3)),
+    "three_class_period_3": lambda: SchemeSpec("rational", (), tuple(
+        IndexClass(Indices(k, 3), TwoPoint("const", lam))
+        for k, lam in ((1, F(1, 2)), (2, F(1, 3)), (3, F(2, 5))))),
+    # no two coordinates share an alphabet key, though some prefix
+    # vectors are equal
+    "prefix_aperiodic": lambda: SchemeSpec("rational", (
+        (F(2, 3), F(1, 3)), (F(3, 5), F(2, 5)), (F(2, 3), F(1, 3)),
+        (F(1, 2), F(1, 3), F(1, 6)), (F(5, 8), F(3, 8)), (F(3, 5), F(2, 5)),
+        (F(4, 7), F(2, 7), F(1, 7))), (
+        IndexClass(Indices(8, 1), CappedGeometric(F(1, 2), 2)),)),
     "interleave_2_7": lambda: interleave(F(1, 2), F(2, 7)),
     "explicit_7532": lambda: single_class(ExplicitWeights(
         (F(7, 17), F(5, 17), F(3, 17), F(2, 17)))),
@@ -287,13 +334,30 @@ RATIONAL_SCHEMES = {
 }
 
 
+class _Tally:
+    """A state cap that never trips and keeps the last count compared with it.
+
+    The count grows, so after a search the tally is the search's counted
+    total: ``count > cap`` falls back on ``cap.__lt__(count)``.
+    """
+
+    def __init__(self):
+        self.total = 0
+
+    def __lt__(self, count):
+        self.total = count
+        return False
+
+
 @st.composite
 def search_inputs(draw):
     """(scheme, target, eps, start, max_block, state_cap); targets either
-    random or next to a value that a random word pair achieves."""
+    random or next to a value that a random word pair achieves, and caps
+    either fixed or at the rebuilding reference's counted total or one
+    below it, where a cap must trip on the very last level."""
     vs = validate(normalize_spec(RATIONAL_SCHEMES[draw(st.sampled_from(sorted(RATIONAL_SCHEMES)))]()))
     start = draw(st.integers(0, 12))
-    max_block = draw(st.integers(1, 5))
+    max_block = draw(st.integers(1, 9))
     if draw(st.booleans()):
         target = draw(st.fractions(min_value=F(1, 50), max_value=5, max_denominator=10 ** 4))
     else:
@@ -306,7 +370,13 @@ def search_inputs(draw):
         target = float(target)
     if draw(st.booleans()):
         eps = float(eps)
-    state_cap = draw(st.sampled_from([10 ** 8, 10 ** 8, 40, 300]))
+    state_cap = draw(st.sampled_from([10 ** 8, 40, 300, "total", "total - 1"]))
+    if isinstance(state_cap, str):
+        tally = _Tally()
+        if 0 < eps < target:
+            _fraction_search(vs, target, eps, start=start, max_block=max_block,
+                             state_cap=tally)
+        state_cap = tally.total - (state_cap == "total - 1")
     return vs, target, eps, start, max_block, state_cap
 
 
@@ -343,6 +413,25 @@ def test_search_budget_message_matches_reference():
     assert str(caught.value) == _outcome(_fraction_search, vs, F(1000, 1013), F(1, 10 ** 12),
                                          max_block=6, state_cap=500)
     assert str(caught.value) == "enumeration exceeded the state cap of 500"
+
+
+def test_shared_levels_are_counted_but_not_enumerated(powers_half, monkeypatch):
+    # a miss through 46 coordinates of one alphabet: every right-half
+    # level is a left-half level, so most of the counted states are shared
+    enumerated = []
+    extend = cocycle._extend
+
+    def counted(values, ratios, state_cap, counter):
+        enumerated.append(len(values) * len(ratios))
+        return extend(values, ratios, state_cap, counter)
+    monkeypatch.setattr(cocycle, "_extend", counted)
+    target, eps, total = F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12), 14559
+    assert witness_search(powers_half, target, eps, max_block=46, state_cap=total) is None
+    assert sum(enumerated) * 4 <= total
+    # the cap trips where the rebuilding reference trips
+    for search in (witness_search, _fraction_search):
+        with pytest.raises(SearchBudgetExceeded, match=f"state cap of {total - 1}$"):
+            search(powers_half, target, eps, max_block=46, state_cap=total - 1)
 
 
 def _word_tuple_search(vs, target, eps, start=0, max_block=8, delta=F(1, 1000),
@@ -669,7 +758,7 @@ def test_integer_draw_matches_fraction_bisection(alphabet, random_ks):
         edge = c * 2 ** 53 // retained
         ks.update(k for k in (edge - 1, edge, edge + 1) if 0 <= k < 2 ** 53)
     ks = sorted(ks)
-    table = cocycle._exact_table(weights, retained)
+    table = cocycle._exact_table(_numerators(weights), retained)
     assert len(table) == len(weights) - 1
     picks = [bisect.bisect_right(table, k * 2.0 ** -53) for k in ks]
     assert picks == [_reference_pick(weights, retained, k) for k in ks]

@@ -348,3 +348,36 @@ def test_perturbed_deviation_anchor_respected():
                                  Deviation("power", exponent=1.0)), mode="float")
     with pytest.raises(NotNormalized):
         validate(normalize(bad).spec)
+
+
+def test_alphabet_key_is_shared_by_equal_alphabets_only():
+    # six classes of step 6 after a two-coordinate prefix; the first four
+    # templates give every coordinate of their class one alphabet
+    templates = (
+        ExplicitWeights((F(3, 5), F(2, 5))),
+        GeometricTail((F(1, 2),), F(1, 2)),
+        TwoPoint("const", F(1, 3)),
+        Perturbed((F(1, 2), F(1, 4), F(1, 4))),
+        CappedGeometric(F(1, 2), 3),
+        TwoPoint("weight", None, Deviation("geometric", rho=F(1, 2), coeff=F(1, 2))),
+    )
+    vs = validate(normalize(SchemeSpec(
+        "rational", ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
+        tuple(IndexClass(Indices(3 + k, 6), t) for k, t in enumerate(templates)))).spec)
+    keys = {n: vs.alphabet_key(n) for n in range(1, 40)}
+    for n, key in keys.items():
+        where, _ = vs.locate(n)
+        assert key == (("class", where) if where != "prefix" and where < 4
+                       else ("coordinate", n))
+    # a shared key implies equal alphabets, not the converse: the two equal
+    # prefix vectors keep their own keys
+    alphabets = {}
+    for n, key in keys.items():
+        weights = truncate_alphabet(vs, n, F(1, 1000)).weights
+        assert alphabets.setdefault(key, weights) == weights
+    assert len(set(keys.values())) == 4 + sum(
+        1 for n in keys if vs.locate(n)[0] in ("prefix", 4, 5))
+    float_vs = validate(single_class(
+        Perturbed((F(1, 2), F(1, 4), F(1, 4)), Deviation("power", exponent=1.0)),
+        mode="float"))
+    assert float_vs.alphabet_key(5) == ("coordinate", 5)

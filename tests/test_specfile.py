@@ -41,3 +41,11 @@ def test_float_literal_rejected_in_rational_mode():
                         "template": {"kind": "explicit", "weights": [0.5, 0.5]}}]}
     with pytest.raises(SpecFileError):
         parse_spec(json.dumps(doc))
+
+
+def test_value_beyond_the_float_range_rejected_in_float_mode():
+    doc = {"mode": "float",
+           "classes": [{"indices": {"start": 1, "step": 1},
+                        "template": {"kind": "explicit", "weights": ["1e400", "1/2"]}}]}
+    with pytest.raises(SpecFileError, match="1E[+]400 lies beyond the range of a float"):
+        parse_spec(json.dumps(doc))
