@@ -312,6 +312,30 @@ def _words(levels: list, coordinate_moves, value) -> tuple:
     return tuple(reversed(x)), tuple(reversed(y))
 
 
+def _fresh(level: dict, parent: dict, s: int) -> list:
+    """The keys of ``level`` that are no key of ``parent`` times ``s``.
+
+    Every move list holds the identity ratio, s over scale s, so ``level``
+    holds each key of ``parent`` times s, at the same value.
+    """
+    return [b for b in level if b % s or b // s not in parent]
+
+
+def _hits(keys, sorted_keys: list, td: int, t_s: int, best_g: int) -> bool:
+    """Whether some a in ``keys`` and b in ``sorted_keys`` have |a*b*td - t_s| < best_g.
+
+    With d = td*a that is lo < b*d <= hi for lo = t_s - best_g and hi =
+    t_s + best_g - 1, so b = the largest key <= hi // d decides it.
+    """
+    lo, hi = t_s - best_g, t_s + best_g - 1
+    for a in keys:
+        d = td * a
+        idx = bisect_right(sorted_keys, hi // d)
+        if idx and sorted_keys[idx - 1] * d > lo:
+            return True
+    return False
+
+
 def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
                    start: int = 0, max_block: int = 8,
                    delta: Num = DEFAULT_DELTA,
@@ -340,6 +364,17 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     when passed as floats): a left key A is completed by the right keys
     B next to (tn*S) // (td*A), and a pair is within eps when
     |A*B*td - tn*S| * ed < en * td * S.
+
+    On rational schemes each length is first tested exactly for any pair
+    within eps (:func:`_hits`), on the pairs that no shorter length
+    tested.  The length's last coordinate is the right half's last, and a
+    right key reached through its identity move (see :func:`_fresh`)
+    pairs to a value of the block one coordinate shorter, which that
+    length tested and missed; so from length 2 on only the fresh right
+    keys are tested, against the sorted left keys.  The scan that breaks
+    ties, and the sort of the right keys it needs, run only at the first
+    length that hits.  Float schemes scan every length, as rounding makes
+    the window inexact.
     """
     if not 0 < target < math.inf:
         raise SpecError("target must be positive and finite")
@@ -367,14 +402,18 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
         else:
             right = _levels(moves[-1:], state_cap, counter, right, (left, moves))
         k = len(right) - 1
+        if exact:
+            t_s = tn * scale
+            # g * ed < en * td * S exactly when g < ceil(en * td * S / ed)
+            best_g = -(-en * td * scale // ed)
+            fresh = _fresh(right[k], right[k - 1], s) if k else right[k]
+            if not _hits(fresh, left_vals, td, t_s, best_g):
+                continue
         right_vals = left_keys[k] if right[k] is left[k] else sorted(right[k])
         # left values ascending, idx - 1 before idx; a strict < keeps the
         # first pair found
         best = None
         if exact:
-            t_s = tn * scale
-            # g * ed < en * td * S exactly when g < ceil(en * td * S / ed)
-            best_g = -(-en * td * scale // ed)
             for a in left_vals:
                 idx = bisect_right(right_vals, t_s // (td * a))
                 for b in right_vals[idx - 1 if idx else 0:idx + 1]:
@@ -414,7 +453,11 @@ def brute_force_block(vs: ValidatedScheme, block: Block, targets: Iterable[Num],
     scale S; a float target, as in float arithmetic, at |t - A/S|.
     """
     counter = [0]
-    per_coordinate = [_moves(weights) for weights in block.alphabets]
+    by_tuple = {}       # _block shares one weights tuple per alphabet
+    for weights in block.alphabets:
+        if id(weights) not in by_tuple:
+            by_tuple[id(weights)] = _moves(weights)
+    per_coordinate = [by_tuple[id(weights)] for weights in block.alphabets]
     scale = math.prod(s for s, _ in per_coordinate)
     moves = [m for _, m in per_coordinate]
     try:
@@ -568,7 +611,7 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
                     den *= n[a]
             d = Fraction(num, den)
             ratios.append(d)
-            logs.append(_log_of(d))
+            logs.append(math.log(d.numerator) - math.log(d.denominator))
         else:
             # added left to right as log_cocycle does; sum() may compensate
             total = 0.0

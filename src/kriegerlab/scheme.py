@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exact import RATIONAL, Num, as_mode, check_mode, is_exact
+from .exact import RATIONAL, Num, _numerators, as_mode, check_mode, is_exact
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +891,11 @@ def truncate_alphabet(vs: ValidatedScheme, n: int, delta) -> TruncatedAlphabet:
     where, pos = vs.locate(n)
     if where == "prefix" or vs.classes[where].template.alphabet_size(pos) is not None:
         w = vs.weights_at(n)
-        if vs.mode != RATIONAL and not min(w) > 0:
+        if vs.mode == RATIONAL:
+            # summed over the common denominator, one Fraction in all
+            lcm, nums = _numerators(w)
+            return TruncatedAlphabet(w, Fraction(sum(nums), lcm), True)
+        if not min(w) > 0:
             raise NonPositiveWeight(f"a weight of coordinate {n} underflows to 0 "
                                     "in float mode; use rational mode")
         return TruncatedAlphabet(w, sum(w), True)

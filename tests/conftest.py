@@ -1,5 +1,10 @@
-"""Shared spec builders for the test suite."""
+"""Shared spec factories and benchmark runners for the test suite."""
 
+import hashlib
+import importlib.util
+import io
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +14,11 @@ from kriegerlab import (
     CappedGeometric, Deviation, ExplicitWeights, GeometricTail, IndexClass,
     Indices, SchemeSpec, TwoPoint, validate,
 )
+from kriegerlab.cli import main
 
 F = Fraction
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+BENCH = Path(__file__).resolve().parent.parent / "benchmark"
 
 ALL_N = Indices(1, 1)
 ODDS = Indices(1, 2)
@@ -83,3 +90,40 @@ def powers_half():
 @pytest.fixture
 def spec_dir():
     return SPEC_DIR
+
+
+def _load_benchmark_module(monkeypatch, name):
+    # registered under its own name, as corpus.py imports checks, and
+    # leaving no bytecode in the benchmark's directory
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_benchmark_ops(workload, seed, work):
+    """The benchmark's checks module and (op, exit code, stdout) of each op.
+
+    ``benchmark/corpus.py`` builds the operations of the workload and seed
+    in ``work``; each runs in process, as the benchmark runs it.
+    """
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        checks = _load_benchmark_module(monkeypatch, "checks")
+        corpus = _load_benchmark_module(monkeypatch, "corpus")
+        ops = corpus.build(workload, seed, work, SPEC_DIR)
+    runs = []
+    for op in ops:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(op.argv)
+        runs.append((op, code, out.getvalue()))
+    return checks, runs
+
+
+def output_digests(runs, work):
+    """(kind, exit code, sha256 of stdout with ``work`` written "<work>") per op."""
+    return [(op.kind, code,
+             hashlib.sha256(stdout.replace(str(work), "<work>").encode()).hexdigest())
+            for op, code, stdout in runs]

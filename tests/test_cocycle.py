@@ -434,6 +434,90 @@ def test_shared_levels_are_counted_but_not_enumerated(powers_half, monkeypatch):
             search(powers_half, target, eps, max_block=46, state_cap=total - 1)
 
 
+# (spec, target value, the first block length achieving it): powers(r)
+# reaches r**j from length |j| on; interleave(1/2, 1/3) reaches
+# 2**-a * 3**-b once a block holds a odd and b even coordinates
+FIRST_HITS = [
+    # moves 4, 6, 9 over scale 6: the fresh right key 9 is no multiple of
+    # the scale, though 9 // 6 is a key of the level before
+    ("powers_2_3", F(9, 4), 2),
+    ("powers_half", F(1, 2 ** 6), 6),           # even: every right level is a left level
+    ("powers_half", F(1, 2 ** 7), 7),           # odd: the right level of length 6 again
+    ("interleave", F(1, 2 ** 3 * 3 ** 3), 6),   # even: right coordinates 4-6 share nothing
+    ("interleave", F(1, 2 ** 3 * 3 ** 2), 5),   # odd: right coordinates 4-5 share nothing
+    ("interleave", F(1, 2 ** 4 * 3 ** 3), 7),   # odd: right level 3 shared, new at this length
+]
+FIRST_HIT_SCHEMES = {"powers_2_3": lambda: powers(F(2, 3)),
+                     "powers_half": lambda: powers(F(1, 2)),
+                     "interleave": lambda: interleave(F(1, 2), F(1, 3))}
+
+
+@pytest.mark.parametrize("name,value,length", FIRST_HITS)
+def test_hit_first_found_on_a_fresh_key(name, value, length):
+    # a hit that no shorter block holds pairs a key new at this length
+    vs = validate(FIRST_HIT_SCHEMES[name]())
+    for target in (value * (1 + F(1, 10 ** 9)), value * (1 - F(1, 10 ** 9))):
+        eps = value / 10 ** 6
+        assert witness_search(vs, target, eps, max_block=length - 1) is None
+        w = witness_search(vs, target, eps, max_block=length + 2)
+        assert len(w.coordinates) == length and w.value == value
+        assert w == _fraction_search(vs, target, eps, max_block=length + 2)
+
+
+@pytest.mark.parametrize("name,value,length", FIRST_HITS)
+@pytest.mark.parametrize("side", [1, -1])
+def test_eps_at_the_closest_distance_finds_nothing_one_unit_above_finds_it(name, value, length,
+                                                                           side, monkeypatch):
+    # the pair within eps is strict: at eps equal to the closest distance
+    # the hit test misses, and one unit of the integer form above it, that
+    # is 1 / (td * S) for target tn/td and block scale S, it hits
+    vs = validate(FIRST_HIT_SCHEMES[name]())
+    target = value * (1 + side * F(1, 10 ** 6))
+    blk = block_for(vs, 0, length)
+    dist = brute_force_block(vs, blk, [target])[0]["distance"]
+    unit = F(1, target.denominator * math.prod(_moves(w)[0] for w in blk.alphabets))
+    calls = _count_calls(monkeypatch, cocycle, "bisect_right")
+    assert witness_search(vs, target, dist / 2, max_block=length) is None
+    clear_miss = len(calls)
+    calls.clear()
+    assert witness_search(vs, target, dist, max_block=length) is None
+    # no length took the miss for a hit and scanned
+    assert len(calls) == clear_miss
+    assert _fraction_search(vs, target, dist, max_block=length) is None
+    w = witness_search(vs, target, dist + unit, max_block=length)
+    assert len(w.coordinates) == length and w.value == value
+    assert w == _fraction_search(vs, target, dist + unit, max_block=length)
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_hit_window_is_strict(side):
+    # a pair at |a*b*td - t_s| == best_g is outside, one unit closer inside,
+    # with the key next to it in the sorted keys far off
+    a, b, td, best_g = 3, 5, 7, 4
+    for g, hit in ((best_g, False), (best_g - 1, True)):
+        t_s = a * b * td + side * g
+        assert cocycle._hits([a], [1, b, 10 ** 6], td, t_s, best_g) is hit
+
+
+def test_each_length_tests_only_its_fresh_keys(powers_half, monkeypatch):
+    # a miss through 46 coordinates of one alphabet: from length 2 on, a
+    # length tests the right keys its last coordinate adds, one bisection
+    # each, and a miss never scans
+    weights = truncate_alphabet(powers_half, 1, F(1, 1000)).weights
+    sizes = [1]           # distinct values of j coordinates
+    values = {F(1)}
+    for _ in range(23):
+        values = {v * r for v in values for r, _ in _ratio_moves(weights)}
+        sizes.append(len(values))
+    # length 1 tests the empty right half's one key
+    fresh = 1 + sum(sizes[n // 2] - sizes[n // 2 - 1] for n in range(2, 47))
+    assert fresh == 91
+    calls = _count_calls(monkeypatch, cocycle, "bisect_right")
+    target, eps = F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12)
+    assert witness_search(powers_half, target, eps, max_block=46) is None
+    assert len(calls) <= fresh
+
+
 def _word_tuple_search(vs, target, eps, start=0, max_block=8, delta=F(1, 1000),
                        state_cap=10 ** 8):
     """witness_search on a float scheme as it ran with two word tuples per
@@ -599,6 +683,18 @@ def test_oracle_tie_keeps_enumeration_order(mode):
     assert got == _fraction_oracle(blk, [target])
     assert got[0]["distance"] == F(1, 4)
     assert cocycle_ratio(blk, got[0]["x"], got[0]["y"]) == F(3, 2)
+
+
+def test_oracle_builds_moves_once_per_alphabet(powers_half, monkeypatch):
+    moves = _count_calls(monkeypatch, cocycle, "_moves")
+    res = brute_force_block(powers_half, block_for(powers_half, 0, 10), [F(1, 3)])
+    assert len(moves) == 1
+    assert res[0]["distance"] == F(1, 12)
+    # a capped_geometric alphabet grows with the coordinate
+    moves.clear()
+    capped = validate(capped_scheme())
+    brute_force_block(capped, block_for(capped, 0, 4), [F(1, 3)])
+    assert len(moves) == 4
 
 
 def test_block_too_large_guard():

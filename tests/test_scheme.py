@@ -233,6 +233,23 @@ def test_truncate_finite_alphabet_keeps_everything():
     assert t.retained_mass == 1
 
 
+@pytest.mark.parametrize("spec", [
+    powers(F(1, 2)),
+    single_class(ExplicitWeights((F(7, 17), F(5, 17), F(3, 17), F(2, 17)))),
+    single_class(CappedGeometric(F(2, 3), 2)),
+    SchemeSpec("rational", ((F(2, 3), F(1, 3)), (F(1, 2), F(1, 3), F(1, 6))),
+               (IndexClass(Indices(3, 1), TwoPoint("const", F(2, 5))),)),
+    single_class(ExplicitWeights((F(1, 2), F(1, 3), F(1, 6))), mode="float"),
+])
+def test_truncate_finite_alphabet_retains_its_exact_sum(spec):
+    vs = validate(normalize(spec).spec)
+    for n in (1, 2, 5, 40):
+        t = truncate_alphabet(vs, n, F(1, 100))
+        assert t.full
+        assert t.retained_mass == sum(t.weights)
+        assert type(t.retained_mass) is type(sum(t.weights))
+
+
 def test_truncate_retained_mass_meets_budget_and_is_monotone():
     vs = geometric_vs()
     last = F(0)

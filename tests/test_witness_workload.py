@@ -8,21 +8,11 @@ suite, not first in a benchmark run.  The same outputs are pinned byte
 for byte, so a speed-up of the search cannot change what it prints.
 """
 
-import hashlib
-import importlib.util
-import io
 import json
-import sys
-from contextlib import redirect_stdout
-from pathlib import Path
 
 import pytest
 
-from kriegerlab.cli import main
-
-from conftest import SPEC_DIR
-
-BENCH = Path(__file__).resolve().parent.parent / "benchmark"
+from conftest import output_digests, run_benchmark_ops
 
 # (kind, exit code, sha256 of stdout with the work directory written
 # "<work>") of each seed-5 operation, in corpus order
@@ -76,31 +66,11 @@ SEED_5_OUTPUTS = [
 ]
 
 
-def _load(monkeypatch, name):
-    # registered under its own name, as corpus.py imports checks, and
-    # leaving no bytecode in the benchmark's directory
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def seed_5_runs(tmp_path_factory):
     """The checks module, the work directory and (op, exit code, stdout) per op."""
     work = tmp_path_factory.mktemp("witness_exact")
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        checks = _load(monkeypatch, "checks")
-        corpus = _load(monkeypatch, "corpus")
-        ops = corpus.build("witness_exact", 5, work, SPEC_DIR)
-    runs = []
-    for op in ops:
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = main(op.argv)
-        runs.append((op, code, out.getvalue()))
+    checks, runs = run_benchmark_ops("witness_exact", 5, work)
     return checks, work, runs
 
 
@@ -126,7 +96,4 @@ def test_witness_exact_ops_pass_the_benchmark_checks(seed_5_runs):
 
 def test_witness_exact_outputs_are_byte_identical(seed_5_runs):
     _, work, runs = seed_5_runs
-    seen = [(op.kind, code,
-             hashlib.sha256(stdout.replace(str(work), "<work>").encode()).hexdigest())
-            for op, code, stdout in runs]
-    assert seen == SEED_5_OUTPUTS
+    assert output_digests(runs, work) == SEED_5_OUTPUTS
