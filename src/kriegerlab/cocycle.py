@@ -26,7 +26,7 @@ from itertools import accumulate, cycle
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .exact import RATIONAL, Num, _numerators, format_scalar, is_exact
+from .exact import RATIONAL, Num, format_scalar, is_exact
 from .scheme import SpecError, ValidatedScheme, truncate_alphabet
 
 DEFAULT_STATE_CAP = 10 ** 8
@@ -76,6 +76,7 @@ class Block:
     alphabets: tuple            # per coordinate: tuple of true weights
     retained: tuple             # per coordinate: retained mass (1 when full)
     delta: Num                  # truncation budget used
+    numerators: tuple           # per coordinate: (L, N) of its weights, None in float mode
 
     def __len__(self):
         return len(self.coordinates)
@@ -98,7 +99,8 @@ def _block(vs: ValidatedScheme, coords: tuple, delta: Num) -> Block:
     """The block on the given coordinates, which need not be contiguous."""
     truncated = list(_by_alphabet(vs, coords, lambda n: truncate_alphabet(vs, n, delta)))
     return Block(coords, tuple(t.weights for t in truncated),
-                 tuple(t.retained_mass for t in truncated), delta)
+                 tuple(t.retained_mass for t in truncated), delta,
+                 tuple(t.numerators for t in truncated))
 
 
 def _by_alphabet(vs: ValidatedScheme, coords: Iterable[int], build) -> Iterator:
@@ -219,21 +221,21 @@ def _ratio_moves(weights) -> list:
     return sorted(out.items())
 
 
-def _moves(weights) -> tuple:
+def _moves(weights, numerators) -> tuple:
     """(scale, moves): the moves of :func:`_ratio_moves` as integers over scale.
 
-    Over a common denominator the distinct weights have numerators N, and
+    With (L, N) = ``numerators``, the :func:`_numerators` of the weights,
     w[j]/w[i] = N[j]/N[i] = N[j] * (scale // N[i]) / scale with scale =
     lcm(N).  Equal ratios give equal integers, so the moves, their pairs
-    and their order are those of :func:`_ratio_moves`.  Float weights
-    keep their float ratios over scale 1.
+    and their order are those of :func:`_ratio_moves`.  Float weights,
+    whose ``numerators`` are None, keep their float ratios over scale 1.
     """
-    if not is_exact(weights[0]):
+    if numerators is None:
         return 1, _ratio_moves(weights)
     first = {}
     for i, w in enumerate(weights):
         first.setdefault(w, i)
-    _, nums = _numerators(list(first))
+    nums = [numerators[1][i] for i in first.values()]
     scale = math.lcm(*nums)
     out = {}
     for ni, i in zip(nums, first.values()):
@@ -321,19 +323,27 @@ def _fresh(level: dict, parent: dict, s: int) -> list:
     return [b for b in level if b % s or b // s not in parent]
 
 
-def _hits(keys, sorted_keys: list, td: int, t_s: int, best_g: int) -> bool:
-    """Whether some a in ``keys`` and b in ``sorted_keys`` have |a*b*td - t_s| < best_g.
+def _closest(fresh, left_vals: list, td: int, t_s: int, best_g: int) -> Optional[tuple]:
+    """The pair (a, b) of least g = |a*b*td - t_s| < best_g, least on a tie, or None.
 
-    With d = td*a that is lo < b*d <= hi for lo = t_s - best_g and hi =
-    t_s + best_g - 1, so b = the largest key <= hi // d decides it.
+    a runs over the sorted ``left_vals`` and b over ``fresh``.  With d =
+    td*b the a in the window lo < a*d <= hi run down from the largest <=
+    hi // d.  The window is g < best_g until a hit, so a miss costs one
+    bisection per fresh key, and then g <= the least g yet, so ties are seen.
     """
+    best = None
     lo, hi = t_s - best_g, t_s + best_g - 1
-    for a in keys:
-        d = td * a
-        idx = bisect_right(sorted_keys, hi // d)
-        if idx and sorted_keys[idx - 1] * d > lo:
-            return True
-    return False
+    for b in fresh:
+        d = td * b
+        i = bisect_right(left_vals, hi // d)
+        while i and left_vals[i - 1] * d > lo:
+            i -= 1
+            a = left_vals[i]
+            g = abs(a * d - t_s)
+            if best is None or (g, a, b) < best:
+                best = g, a, b
+                lo, hi = t_s - g - 1, t_s + g
+    return None if best is None else best[1:]
 
 
 def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
@@ -343,8 +353,8 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     """Search for a word pair with |D(x->y) - target| < eps.
 
     Meet in the middle: exact values of the first ceil(length/2)
-    coordinates (grown at odd lengths) against the sorted values of the
-    rest (rebuilt at odd lengths, grown by the new coordinate at even
+    coordinates (grown at odd lengths) against the values of the rest
+    (rebuilt at odd lengths, grown by the new coordinate at even
     lengths).  Returns a witness on the smallest block length admitting
     one, or None: a bounded-scope statement over (max_block, delta,
     state_cap), the cap counting the states of this call, not a proof
@@ -352,29 +362,20 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
 
     Each distinct alphabet (see :func:`_by_alphabet`) is truncated and
     turned into moves once per call.  Where the right half's first
-    coordinates carry the left half's alphabets, its levels and their
-    sorted keys are the left's, shared rather than rebuilt (see
-    :func:`_levels`); a shared level counts against the cap as if it
-    were enumerated, so the cap trips exactly where a rebuild trips.
+    coordinates carry the left half's alphabets, its levels are the
+    left's, shared rather than rebuilt (see :func:`_levels`); a shared
+    level counts against the cap as if it were enumerated, so the cap
+    trips exactly where a rebuild trips.  Each value keeps one
+    back-pointer, and words are rebuilt for the returned pair only.
 
-    Each enumerated value keeps one back-pointer, to the value it was
-    first reached from (see :func:`_levels`); words are rebuilt for the
-    returned pair only.  On rational schemes values are integer keys over
-    the block's scale S and target = tn/td, eps = en/ed (exactly, also
-    when passed as floats): a left key A is completed by the right keys
-    B next to (tn*S) // (td*A), and a pair is within eps when
-    |A*B*td - tn*S| * ed < en * td * S.
-
-    On rational schemes each length is first tested exactly for any pair
-    within eps (:func:`_hits`), on the pairs that no shorter length
-    tested.  The length's last coordinate is the right half's last, and a
-    right key reached through its identity move (see :func:`_fresh`)
-    pairs to a value of the block one coordinate shorter, which that
-    length tested and missed; so from length 2 on only the fresh right
-    keys are tested, against the sorted left keys.  The scan that breaks
-    ties, and the sort of the right keys it needs, run only at the first
-    length that hits.  Float schemes scan every length, as rounding makes
-    the window inexact.
+    On rational schemes values are integer keys over the block's scale S;
+    with target = tn/td and eps = en/ed (exactly, also when passed as
+    floats) keys A and B are within eps when |A*B*td - tn*S| * ed < en *
+    td * S.  Each length makes one pass, :func:`_closest`, over its fresh
+    right keys (see :func:`_fresh`): a right key reached through the last
+    coordinate's identity move pairs to a value of the length before,
+    which missed.  Float schemes pair each left value with its neighbours
+    among the sorted right values, as rounding makes a window inexact.
     """
     if not 0 < target < math.inf:
         raise SpecError("target must be positive and finite")
@@ -385,43 +386,34 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
         tn, td = Fraction(target).as_integer_ratio()
         en, ed = Fraction(eps).as_integer_ratio()
     counter = [0]
-    per_alphabet = _by_alphabet(vs, range(start + 1, start + max_block + 1),
-                                lambda n: _moves(truncate_alphabet(vs, n, delta).weights))
+
+    def alphabet_moves(n):
+        t = truncate_alphabet(vs, n, delta)
+        return _moves(t.weights, t.numerators)
+    per_alphabet = _by_alphabet(vs, range(start + 1, start + max_block + 1), alphabet_moves)
     moves = []      # per coordinate; one list object per alphabet
     scale = 1
     left = _ROOT
-    left_keys = {0: sorted(_ROOT[0])}     # level k of the left -> its sorted keys
     for length, (s, m) in enumerate(per_alphabet, 1):
         moves.append(m)
         scale *= s
         mid = (length + 1) // 2
         if length % 2:
             left = _levels(moves[mid - 1:mid], state_cap, counter, left)
-            left_vals = left_keys[mid] = sorted(left[-1])
+            left_vals = sorted(left[-1])
             right = _levels(moves[mid:], state_cap, counter, shared=(left, moves))
         else:
             right = _levels(moves[-1:], state_cap, counter, right, (left, moves))
         k = len(right) - 1
         if exact:
-            t_s = tn * scale
-            # g * ed < en * td * S exactly when g < ceil(en * td * S / ed)
-            best_g = -(-en * td * scale // ed)
             fresh = _fresh(right[k], right[k - 1], s) if k else right[k]
-            if not _hits(fresh, left_vals, td, t_s, best_g):
-                continue
-        right_vals = left_keys[k] if right[k] is left[k] else sorted(right[k])
-        # left values ascending, idx - 1 before idx; a strict < keeps the
-        # first pair found
-        best = None
-        if exact:
-            for a in left_vals:
-                idx = bisect_right(right_vals, t_s // (td * a))
-                for b in right_vals[idx - 1 if idx else 0:idx + 1]:
-                    g = abs(a * b * td - t_s)
-                    if g < best_g:
-                        best_g, best = g, (a, b)
+            # g * ed < en * td * S exactly when g < ceil(en * td * S / ed)
+            best = _closest(fresh, left_vals, td, tn * scale, -(-en * td * scale // ed))
         else:
-            best_g = eps
+            # left values ascending, idx - 1 before idx; a strict < keeps
+            # the first pair found
+            right_vals = sorted(right[k])
+            best_g, best = eps, None
             for a in left_vals:
                 # a left value that underflowed to 0.0 completes to 0, never close
                 idx = bisect_right(right_vals, target / a if a else math.inf)
@@ -454,9 +446,9 @@ def brute_force_block(vs: ValidatedScheme, block: Block, targets: Iterable[Num],
     """
     counter = [0]
     by_tuple = {}       # _block shares one weights tuple per alphabet
-    for weights in block.alphabets:
+    for weights, numerators in zip(block.alphabets, block.numerators):
         if id(weights) not in by_tuple:
-            by_tuple[id(weights)] = _moves(weights)
+            by_tuple[id(weights)] = _moves(weights, numerators)
     per_coordinate = [by_tuple[id(weights)] for weights in block.alphabets]
     scale = math.prod(s for s, _ in per_coordinate)
     moves = [m for _, m in per_coordinate]
@@ -576,13 +568,13 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
         raise SpecError("n_samples must be >= 1")
     block = block_for(vs, start, window, delta)
     exact = vs.mode == RATIONAL
-    columns = dict(zip(block.coordinates, zip(block.alphabets, block.retained)))
+    columns = dict(zip(block.coordinates,
+                       zip(block.alphabets, block.retained, block.numerators)))
 
     def tabulate(n):
-        weights, retained = columns[n]
+        weights, retained, numerators = columns[n]
         if exact:
             # w[b]/w[a] = N[b]/N[a] over the coordinate's common denominator
-            numerators = _numerators(weights)
             return _exact_table(numerators, retained), numerators[1]
         return _float_table(weights), [_log_of(w) for w in weights]
     # per coordinate, built once per distinct alphabet as the block

@@ -93,7 +93,7 @@ def is_exact(x: Num) -> bool:
 def _numerators(weights) -> tuple:
     """(L, N) for exact weights: L the lcm of the denominators, N[i] = L * weights[i]."""
     lcm = math.lcm(*(w.denominator for w in weights))
-    return lcm, [w.numerator * (lcm // w.denominator) for w in weights]
+    return lcm, tuple(w.numerator * (lcm // w.denominator) for w in weights)
 
 
 def check_mode(mode: str) -> str:

@@ -809,7 +809,7 @@ class ValidatedScheme:
 
 
 def validate(spec: SchemeSpec) -> ValidatedScheme:
-    """Check every invariant and return the spec with derived data cached."""
+    """Check every invariant and return the checked spec; it keeps no memo."""
     return ValidatedScheme(spec)
 
 
@@ -877,6 +877,7 @@ class TruncatedAlphabet:
     weights: tuple          # true weights, NOT renormalized
     retained_mass: Num
     full: bool
+    numerators: Optional[tuple] = None      # rational mode: _numerators(weights)
 
 
 def truncate_alphabet(vs: ValidatedScheme, n: int, delta) -> TruncatedAlphabet:
@@ -894,7 +895,7 @@ def truncate_alphabet(vs: ValidatedScheme, n: int, delta) -> TruncatedAlphabet:
         if vs.mode == RATIONAL:
             # summed over the common denominator, one Fraction in all
             lcm, nums = _numerators(w)
-            return TruncatedAlphabet(w, Fraction(sum(nums), lcm), True)
+            return TruncatedAlphabet(w, Fraction(sum(nums), lcm), True, (lcm, nums))
         if not min(w) > 0:
             raise NonPositiveWeight(f"a weight of coordinate {n} underflows to 0 "
                                     "in float mode; use rational mode")
@@ -902,7 +903,8 @@ def truncate_alphabet(vs: ValidatedScheme, n: int, delta) -> TruncatedAlphabet:
     tpl = vs.classes[where].template         # a geometric tail, the one infinite alphabet
     target = 1 - as_mode(delta, vs.mode)
     if vs.mode == RATIONAL:
-        return _truncate_rational_tail(tpl, target)
+        weights, mass = _truncate_rational_tail(tpl, target)
+        return TruncatedAlphabet(weights, mass, False, _numerators(weights))
     weights = []
     mass = 0.0
     while mass < target:
@@ -914,8 +916,8 @@ def truncate_alphabet(vs: ValidatedScheme, n: int, delta) -> TruncatedAlphabet:
     return TruncatedAlphabet(tuple(weights), mass, False)
 
 
-def _truncate_rational_tail(tpl: GeometricTail, target: Fraction) -> TruncatedAlphabet:
-    """The rational tail's shortest prefix with mass >= target, in closed form.
+def _truncate_rational_tail(tpl: GeometricTail, target: Fraction) -> tuple:
+    """(weights, mass): the rational tail's shortest prefix with mass >= target, in closed form.
 
     j tail symbols b*q**i have mass b*(1 - q**j)/(1 - q), so the prefix
     grows by w*q until q**j <= 1 - (target - head)*(1 - q)/b.
@@ -923,7 +925,7 @@ def _truncate_rational_tail(tpl: GeometricTail, target: Fraction) -> TruncatedAl
     weights, mass = [], Fraction(0)
     for w in tpl.base[:-1]:
         if mass >= target:
-            return TruncatedAlphabet(tuple(weights), mass, False)
+            return tuple(weights), mass
         weights.append(w)
         mass += w
     b, q = tpl.base[-1], tpl.ratio
@@ -936,4 +938,4 @@ def _truncate_rational_tail(tpl: GeometricTail, target: Fraction) -> TruncatedAl
         if len(weights) > 10_000_000:
             raise BudgetUnreachable("truncation did not reach the mass budget")
     mass += b * (1 - Fraction(pn, pd)) / (1 - q)
-    return TruncatedAlphabet(tuple(weights), mass, False)
+    return tuple(weights), mass

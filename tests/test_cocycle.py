@@ -16,6 +16,7 @@ from kriegerlab import (
     validate, witness_search,
 )
 from kriegerlab import cocycle, normalize
+from kriegerlab import scheme as scheme_module
 from kriegerlab.cli import _load_scheme
 from kriegerlab.cocycle import _moves, _ratio_moves
 from kriegerlab.exact import _numerators
@@ -87,8 +88,9 @@ def test_block_truncates_each_alphabet_once(powers_half, monkeypatch):
 
 
 def test_sampler_tabulates_each_alphabet_once(monkeypatch):
+    # the numerators are built once, as the alphabet is truncated
     tables = _count_calls(monkeypatch, cocycle, "_exact_table")
-    numerators = _count_calls(monkeypatch, cocycle, "_numerators")
+    numerators = _count_calls(monkeypatch, scheme_module, "_numerators")
     a = mc_sample_cocycle(validate(interleave(F(1, 2), F(1, 3))), seed=3, n_samples=20, window=9)
     assert len(tables) == len(numerators) == 2
     tables.clear()
@@ -252,10 +254,10 @@ def test_integer_moves_match_fraction_moves(data):
                                            max_denominator=10 ** 6).filter(lambda w: w > 0),
                               min_size=1, max_size=5, unique=True))
     weights = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-    scale, moves = _moves(weights)
+    scale, moves = _moves(weights, _numerators(weights))
     assert [(F(m, scale), pair) for m, pair in moves] == _ratio_moves(weights)
     floats = [float(w) for w in weights]
-    assert _moves(floats) == (1, _ratio_moves(floats))
+    assert _moves(floats, None) == (1, _ratio_moves(floats))
 
 
 def _fraction_search(vs, target, eps, start=0, max_block=8, delta=F(1, 1000),
@@ -469,19 +471,20 @@ def test_hit_first_found_on_a_fresh_key(name, value, length):
 def test_eps_at_the_closest_distance_finds_nothing_one_unit_above_finds_it(name, value, length,
                                                                            side, monkeypatch):
     # the pair within eps is strict: at eps equal to the closest distance
-    # the hit test misses, and one unit of the integer form above it, that
+    # the search misses, and one unit of the integer form above it, that
     # is 1 / (td * S) for target tn/td and block scale S, it hits
     vs = validate(FIRST_HIT_SCHEMES[name]())
     target = value * (1 + side * F(1, 10 ** 6))
     blk = block_for(vs, 0, length)
     dist = brute_force_block(vs, blk, [target])[0]["distance"]
-    unit = F(1, target.denominator * math.prod(_moves(w)[0] for w in blk.alphabets))
+    unit = F(1, target.denominator * math.prod(
+        _moves(w, n)[0] for w, n in zip(blk.alphabets, blk.numerators)))
     calls = _count_calls(monkeypatch, cocycle, "bisect_right")
     assert witness_search(vs, target, dist / 2, max_block=length) is None
     clear_miss = len(calls)
     calls.clear()
     assert witness_search(vs, target, dist, max_block=length) is None
-    # no length took the miss for a hit and scanned
+    # no length took the miss for a hit
     assert len(calls) == clear_miss
     assert _fraction_search(vs, target, dist, max_block=length) is None
     w = witness_search(vs, target, dist + unit, max_block=length)
@@ -491,18 +494,43 @@ def test_eps_at_the_closest_distance_finds_nothing_one_unit_above_finds_it(name,
 
 @pytest.mark.parametrize("side", [1, -1])
 def test_hit_window_is_strict(side):
-    # a pair at |a*b*td - t_s| == best_g is outside, one unit closer inside,
-    # with the key next to it in the sorted keys far off
+    # before a hit a pair at |a*b*td - t_s| == best_g is outside, one unit
+    # closer inside, with the key next to it in the sorted keys far off
     a, b, td, best_g = 3, 5, 7, 4
-    for g, hit in ((best_g, False), (best_g - 1, True)):
+    for g, pair in ((best_g, None), (best_g - 1, (a, b))):
         t_s = a * b * td + side * g
-        assert cocycle._hits([a], [1, b, 10 ** 6], td, t_s, best_g) is hit
+        assert cocycle._closest([b], [1, a, 10 ** 6], td, t_s, best_g) == pair
+    # after one the window keeps its g, so a later tie with a lesser a wins
+    assert cocycle._closest([5, 6], [5, 6], 1, 30 + side, 2) == (5, 6)
 
 
-def test_each_length_tests_only_its_fresh_keys(powers_half, monkeypatch):
-    # a miss through 46 coordinates of one alphabet: from length 2 on, a
-    # length tests the right keys its last coordinate adds, one bisection
-    # each, and a miss never scans
+# (spec weights, target, eps, the witness): ties at the first length
+# that hits, whose least pair is not the first one the fresh keys meet
+TIES = [
+    ((F(4, 7), F(2, 7), F(1, 7)), F(12), 4 + F(1, 10 ** 12), (F(8), (1, 2), (0, 0))),
+    ((F(7, 17), F(5, 17), F(3, 17), F(2, 17)), F(11, 12), F(50000000003, 3 * 10 ** 12),
+     (F(14, 15), (1, 2), (3, 0))),
+]
+
+
+@pytest.mark.parametrize("weights,target,eps,want", TIES)
+def test_tie_goes_to_the_least_pair(weights, target, eps, want):
+    vs = validate(normalize_spec(single_class(ExplicitWeights(weights))))
+    w = witness_search(vs, target, eps, max_block=4)
+    assert (w.value, w.x, w.y) == want
+    assert w == _fraction_search(vs, target, eps, max_block=4)
+
+
+@pytest.mark.parametrize("target,eps,max_block,length,fresh", [
+    # a miss through 46 coordinates of one alphabet
+    (F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12), 46, None, 91),
+    # a hit at length 20 bisects no more than a miss there would
+    (F(1, 2 ** 20) * (1 + F(1, 10 ** 9)), F(1, 2 ** 20 * 10 ** 6), 24, 20, 39),
+])
+def test_each_length_tests_only_its_fresh_keys(powers_half, monkeypatch, target, eps,
+                                               max_block, length, fresh):
+    # from length 2 on, a length pairs the right keys its last coordinate
+    # adds with the left keys, one bisection each
     weights = truncate_alphabet(powers_half, 1, F(1, 1000)).weights
     sizes = [1]           # distinct values of j coordinates
     values = {F(1)}
@@ -510,11 +538,11 @@ def test_each_length_tests_only_its_fresh_keys(powers_half, monkeypatch):
         values = {v * r for v in values for r, _ in _ratio_moves(weights)}
         sizes.append(len(values))
     # length 1 tests the empty right half's one key
-    fresh = 1 + sum(sizes[n // 2] - sizes[n // 2 - 1] for n in range(2, 47))
-    assert fresh == 91
+    last = length or max_block
+    assert fresh == 1 + sum(sizes[n // 2] - sizes[n // 2 - 1] for n in range(2, last + 1))
     calls = _count_calls(monkeypatch, cocycle, "bisect_right")
-    target, eps = F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12)
-    assert witness_search(powers_half, target, eps, max_block=46) is None
+    w = witness_search(powers_half, target, eps, max_block=max_block)
+    assert (None if w is None else len(w.coordinates)) == length
     assert len(calls) <= fresh
 
 
