@@ -11,11 +11,13 @@ a certificate whose stored evidence replays to the same label through
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
-from .exact import RATIONAL, Num, _numerators, format_scalar, is_exact
+from .exact import RATIONAL, Num, _numerators, as_mode, format_scalar, is_exact
 from .asymptotics import (
     DIVERGENT, INCONCLUSIVE, SUMMABLE,
     SeriesPart, SummabilityVerdict, Term, _is_limit,
@@ -24,7 +26,7 @@ from .asymptotics import (
 from .groups import CYCLIC, DENSE, TRIVIAL, mult_group
 from .scheme import (
     CappedGeometric, ExplicitWeights, GeometricTail, Perturbed, SchemeSpec,
-    SpecError, TP_CONST, TP_EXP, TP_WEIGHT, TwoPoint, ValidatedScheme, ZERO, _div,
+    TP_CONST, TP_EXP, TP_WEIGHT, TwoPoint, ValidatedScheme, ZERO, _div,
     normalize, validate,
 )
 
@@ -39,6 +41,10 @@ LABEL_INCONCLUSIVE = "inconclusive"
 LABELS = (LABEL_I_INF, LABEL_II_1, LABEL_II_INF,
           LABEL_III_0, LABEL_III_LAMBDA, LABEL_III_1, LABEL_INCONCLUSIVE)
 
+# the cap C of the type-III series: min(x**2, C) and min(x**2, C') bound each
+# other up to a constant, so every C > 0 gives the same verdicts
+RATIO_DEFECT_CAP = Fraction(1)
+
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -47,7 +53,6 @@ LABELS = (LABEL_I_INF, LABEL_II_1, LABEL_II_INF,
 class Certificate:
     fired: tuple
     mode: str
-    c_parameter: Num
     warnings: tuple
     evidence: dict
     notes: tuple = ()
@@ -55,7 +60,7 @@ class Certificate:
     def to_dict(self):
         return {"fired": list(self.fired),
                 "mode": self.mode,
-                "C": format_scalar(self.c_parameter),
+                "C": format_scalar(as_mode(RATIO_DEFECT_CAP, self.mode)),
                 "warnings": list(self.warnings),
                 "evidence": self.evidence,
                 "notes": list(self.notes)}
@@ -91,19 +96,18 @@ def uniformity_defect(weights) -> float:
     return sum(abs(1.0 - math.sqrt(float(w) * k)) ** 2 for w in weights) / k
 
 
-def ratio_defect(weights, c: Num) -> Num:
-    """Sum over ordered pairs i != j of w_i w_j min((w_i/w_j - 1)**2, C), C > 0.
+def ratio_defect(weights) -> Num:
+    """Sum over ordered pairs i != j of w_i w_j min((w_i/w_j - 1)**2, C),
+    C = :data:`RATIO_DEFECT_CAP` = 1.
 
-    Exact when the weights and C are rational, on plain integers: over
-    the lcm L of the weight denominators, w_i = N_i/L and C = a/b.  A pair
-    is uncapped exactly when b (N_i - N_j)**2 < a N_j**2 (strictly: a pair
-    with (w_i/w_j - 1)**2 == C counts C) and adds N_i (N_i - N_j)**2 / N_j
-    to L**2 times the sum; a capped pair adds C N_i N_j.  The diagonal is
-    uncapped and adds 0.  Float input (or a float C) keeps the pairwise
-    loop and its summation order.
+    Exact when the weights are rational, on plain integers: over the lcm
+    L of the weight denominators, w_i = N_i/L.  A pair is uncapped exactly
+    when N_i < 2 N_j and adds N_i (N_i - N_j)**2 / N_j to L**2 times the
+    sum; a capped pair adds N_i N_j.  The diagonal is uncapped and adds 0.
+    Float input keeps the pairwise loop and its summation order.
     """
-    if all(is_exact(w) for w in weights) and is_exact(c):
-        return _ratio_defect_exact([Fraction(w) for w in weights], Fraction(c))
+    if all(is_exact(w) for w in weights):
+        return _ratio_defect_exact([Fraction(w) for w in weights])
     total = 0.0
     for i, wi in enumerate(weights):
         for j, wj in enumerate(weights):
@@ -111,29 +115,31 @@ def ratio_defect(weights, c: Num) -> Num:
                 continue
             d = _div(wi, wj) - 1
             d2 = d * d
-            total += wi * wj * (d2 if d2 < c else c)
+            total += wi * wj * (d2 if d2 < 1 else 1)
     return total
 
 
-def _ratio_defect_exact(weights, c: Fraction) -> Fraction:
+def _ratio_defect_exact(weights) -> Fraction:
+    """:func:`ratio_defect` from prefix sums P1, P2, P3 of the sorted N, N**2, N**3.
+
+    The uncapped i of a j are the first k sorted numerators, those below
+    2 N_j, and sum to P3[k] - 2 N_j P2[k] + N_j**2 P1[k]; the capped ones
+    add (P1[n] - P1[k]) N_j.
+    """
     lcm, ns = _numerators(weights)
-    a, b = c.numerator, c.denominator
+    ns = sorted(ns)
+    p1 = [0, *accumulate(ns)]
+    p2 = [0, *accumulate(n * n for n in ns)]
+    p3 = [0, *accumulate(n * n * n for n in ns)]
     uncapped = []               # (sum over uncapped i of N_i (N_i - N_j)**2, N_j)
     capped = 0                  # sum over capped pairs of N_i N_j
     for nj in ns:
-        bound = a * nj * nj
-        s = t = 0
-        for ni in ns:
-            d2 = (ni - nj) * (ni - nj)
-            if b * d2 < bound:
-                s += ni * d2
-            else:
-                t += ni
-        uncapped.append((s, nj))
-        capped += t * nj
-    den = math.lcm(*(nj for _, nj in uncapped))
+        k = bisect_left(ns, 2 * nj)
+        uncapped.append((p3[k] - 2 * nj * p2[k] + nj * nj * p1[k], nj))
+        capped += (p1[-1] - p1[k]) * nj
+    den = math.lcm(*ns)
     num = sum(s * (den // nj) for s, nj in uncapped)
-    return Fraction(b * num + a * den * capped, b * den * lcm * lcm)
+    return Fraction(num + den * capped, den * lcm * lcm)
 
 
 def _two_point_weights(lam: Num):
@@ -161,7 +167,7 @@ def _normalized_limit(tpl: Perturbed) -> tuple:
     return tuple(_div(v, sum(tpl.limit)) for v in tpl.limit)
 
 
-def _two_point_I(tpl: TwoPoint, mode, c) -> Term:
+def _two_point_I(tpl: TwoPoint, mode) -> Term:
     if tpl.form in (TP_CONST, TP_EXP):
         lam = tpl.value
         return Term("const" if tpl.form == TP_CONST else "converges",
@@ -171,7 +177,7 @@ def _two_point_I(tpl: TwoPoint, mode, c) -> Term:
     return Term.from_deviation(tpl.deviation, exact=tpl.form == TP_WEIGHT)
 
 
-def _two_point_II1(tpl: TwoPoint, mode, c) -> Term:
+def _two_point_II1(tpl: TwoPoint, mode) -> Term:
     lam = tpl.lam_limit()
     if tpl.form == TP_CONST:
         return Term("const", value=uniformity_defect(_two_point_weights(lam)))
@@ -182,19 +188,19 @@ def _two_point_II1(tpl: TwoPoint, mode, c) -> Term:
     return Term("converges", value=limit_term)
 
 
-def _two_point_III(tpl: TwoPoint, mode, c) -> Term:
+def _two_point_III(tpl: TwoPoint, mode) -> Term:
     lam = tpl.lam_limit()
     if tpl.form == TP_CONST:
-        return Term("const", value=ratio_defect(_two_point_weights(lam), c))
+        return Term("const", value=ratio_defect(_two_point_weights(lam)))
     if lam == 1:
         return Term.from_deviation(tpl.deviation.squared())
     if lam == 0:
         # term comparable to lam_n, hence to eps_n
         return Term.from_deviation(tpl.deviation)
-    return Term("converges", value=ratio_defect(_two_point_weights(float(lam)), float(c)))
+    return Term("converges", value=ratio_defect(_two_point_weights(float(lam))))
 
 
-def _perturbed_II1(tpl: Perturbed, mode, c) -> Term:
+def _perturbed_II1(tpl: Perturbed, mode) -> Term:
     if _is_uniform(tpl.limit):
         # comparable to eps_n**2 (the zero term for a zero deviation)
         return Term.from_deviation(tpl.deviation.squared())
@@ -203,38 +209,37 @@ def _perturbed_II1(tpl: Perturbed, mode, c) -> Term:
     return _limit_term(tpl, uniformity_defect(limit))
 
 
-def _perturbed_III(tpl: Perturbed, mode, c) -> Term:
+def _perturbed_III(tpl: Perturbed, mode) -> Term:
     if _is_uniform(tpl.limit):
         # comparable to eps_n**2 (the zero term for a zero deviation)
         return Term.from_deviation(tpl.deviation.squared())
-    return _limit_term(tpl, ratio_defect(_normalized_limit(tpl), c))
+    return _limit_term(tpl, ratio_defect(_normalized_limit(tpl)))
 
 
 # The term of an infinite class, by template kind, in the type-I, type-II_1
-# and type-III series.  Each rule is called as rule(template, mode, C).
+# and type-III series.  Each rule is called as rule(template, mode).
 _SERIES_RULES = {
     ExplicitWeights.kind: (
-        lambda t, mode, c: Term("const", value=1 - _div(max(t.weights), t.total())),
-        lambda t, mode, c: _zero_if_uniform(_fixed_weights(t, mode), uniformity_defect),
-        lambda t, mode, c: _zero_if_uniform(_fixed_weights(t, mode),
-                                            lambda w: ratio_defect(w, c)),
+        lambda t, mode: Term("const", value=1 - _div(max(t.weights), t.total())),
+        lambda t, mode: _zero_if_uniform(_fixed_weights(t, mode), uniformity_defect),
+        lambda t, mode: _zero_if_uniform(_fixed_weights(t, mode), ratio_defect),
     ),
     GeometricTail.kind: (
-        lambda t, mode, c: Term("const", value=1 - _div(max(t.base), t.total())),
+        lambda t, mode: Term("const", value=1 - _div(max(t.base), t.total())),
         None,  # the II_1 test rejects infinite alphabets before consulting the table
-        lambda t, mode, c: Term("const", value=_ratio_defect_geometric_tail(t, c, mode)),
+        lambda t, mode: Term("const", value=_ratio_defect_geometric_tail(t, mode)),
     ),
     TwoPoint.kind: (_two_point_I, _two_point_II1, _two_point_III),
     Perturbed.kind: (
-        lambda t, mode, c: _limit_term(t, 1 - _div(max(t.limit), sum(t.limit))),
+        lambda t, mode: _limit_term(t, 1 - _div(max(t.limit), sum(t.limit))),
         _perturbed_II1,
         _perturbed_III,
     ),
     CappedGeometric.kind: (
-        lambda t, mode, c: Term("converges", value=1),
+        lambda t, mode: Term("converges", value=1),
         # per-coordinate values scale like 1/|X_n| with affine sizes
-        lambda t, mode, c: Term("power", p=Fraction(1)),
-        lambda t, mode, c: Term("power", p=Fraction(1)),
+        lambda t, mode: Term("power", p=Fraction(1)),
+        lambda t, mode: Term("power", p=Fraction(1)),
     ),
 }
 
@@ -247,16 +252,19 @@ def _finite_part(label: str, vectors, per_vector) -> SeriesPart:
     return SeriesPart(label, None, Term("finite", value=total))
 
 
-def _series_verdict(vs: ValidatedScheme, series: int, per_vector,
-                    c: Num = None) -> SummabilityVerdict:
+def _series_verdict(vs: ValidatedScheme, series: int, per_vector) -> SummabilityVerdict:
     """Sum the prefix and finite classes through ``per_vector`` and take
-    the infinite classes' terms from the rule table."""
+    the infinite classes' terms from the rule table.  A finite class of
+    infinite alphabets has no weight vectors to sum: its finitely many
+    terms are summable, with no total."""
     parts = [_finite_part("prefix", vs.prefix, per_vector)]
     for label, cls in zip(vs.class_labels(), vs.classes):
         tpl = cls.template
         if cls.indices.infinite:
-            term = _SERIES_RULES[tpl.kind][series](tpl, vs.mode, c)
+            term = _SERIES_RULES[tpl.kind][series](tpl, vs.mode)
             parts.append(SeriesPart(label, cls.indices, term))
+        elif tpl.alphabet_size() is None:
+            parts.append(SeriesPart(label, None, Term("finite")))
         else:
             vectors = [tpl.weights_at(n, cls.indices.position_of(n), vs.mode)
                        for n in cls.indices.members]
@@ -276,7 +284,7 @@ def test_type_II1(vs: ValidatedScheme) -> SummabilityVerdict:
     finite-alphabet precondition and the verdict is reported divergent
     with that reason (the scheme is not II_1 either way).
     """
-    if vs.has_infinite_alphabet():
+    if any(cls.template.alphabet_size() is None for cls in vs.classes):
         return SummabilityVerdict(
             DIVERGENT,
             "some coordinates have infinite alphabets; the finite-alphabet "
@@ -290,16 +298,14 @@ def _uniformity_defect_finite(weights):
     return uniformity_defect(weights)
 
 
-def test_type_III(vs: ValidatedScheme, c: Num = Fraction(1)) -> SummabilityVerdict:
+def test_type_III(vs: ValidatedScheme) -> SummabilityVerdict:
     """Summability of the capped pairwise ratio-defect series; divergence
-    means type III.  The cap C is recorded in the certificate; the
-    verdict does not depend on its value."""
-    if c <= 0:
-        raise SpecError("the cap C must be positive")
-    return _series_verdict(vs, _TYPE_III, lambda w: ratio_defect(w, c), c)
+    means type III.  The cap is the constant :data:`RATIO_DEFECT_CAP`,
+    which the certificate records; the verdict does not depend on it."""
+    return _series_verdict(vs, _TYPE_III, ratio_defect)
 
 
-def _ratio_defect_geometric_tail(tpl: GeometricTail, c: Num, mode: str) -> Num:
+def _ratio_defect_geometric_tail(tpl: GeometricTail, mode: str) -> Num:
     """Lower bound of the per-coordinate value on a truncated symbol range.
 
     All pair contributions are non-negative, so the truncated double sum
@@ -320,7 +326,7 @@ def _ratio_defect_geometric_tail(tpl: GeometricTail, c: Num, mode: str) -> Num:
         weights.append(w if mode == RATIONAL else float(w))
         mass += weights[-1]
         i += 1
-    return ratio_defect(tuple(weights), c if mode == RATIONAL else float(c))
+    return ratio_defect(tuple(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +490,7 @@ _CHAIN = (("type_I", "type-I", LABEL_I_INF),
           ("type_III", "type-III", LABEL_II_INF))
 
 
-def _series_test(key: str, vs: ValidatedScheme, c: Num) -> SummabilityVerdict:
-    # looked up at call time, so a wrapper put on the module attribute sees the call
-    test = globals()["test_" + key]
-    return test(vs, c) if key == "type_III" else test(vs)
-
-
-def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> TypeVerdict:
+def classify(spec: Union[SchemeSpec, ValidatedScheme]) -> TypeVerdict:
     """Assign a type label with a replayable certificate.
 
     Accepts a raw spec (normalized internally) or an already validated
@@ -504,10 +504,11 @@ def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> 
              "has infinitely many atoms")
     evidence, fired = {}, ()
     for key, name, label in _CHAIN:
-        verdict = _series_test(key, vs, c)
+        # looked up at call time, so a wrapper put on the module attribute sees the call
+        verdict = globals()["test_" + key](vs)
         evidence[key] = verdict.to_dict()
         if verdict.inconclusive:
-            cert = Certificate((f"{name}-series-inconclusive",), vs.mode, c,
+            cert = Certificate((f"{name}-series-inconclusive",), vs.mode,
                                ("a series verdict is inconclusive; no label can be "
                                 "assigned from the rule table",),
                                evidence)
@@ -516,7 +517,7 @@ def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> 
             fired += (f"{name}-series-summable",)
             if label == LABEL_II_INF:
                 fired += ("II-infinity-by-elimination",)
-            return TypeVerdict(label, None, Certificate(fired, vs.mode, c, (), evidence, notes))
+            return TypeVerdict(label, None, Certificate(fired, vs.mode, (), evidence, notes))
         fired += (f"{name}-series-divergent",)
 
     if vs.limsup_alphabet() is None:
@@ -526,7 +527,7 @@ def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> 
     else:
         evidence["branch"] = "bounded_multisymbol"
         cert = Certificate(
-            fired + ("bounded-multisymbol-unresolved",), vs.mode, c,
+            fired + ("bounded-multisymbol-unresolved",), vs.mode,
             ("bounded alphabets with more than two symbols: such a scheme is "
              "isomorphic to a two-point one, but the reduction is not "
              "constructive here; rebuild the spec with two-point templates",),
@@ -537,7 +538,7 @@ def classify(spec: Union[SchemeSpec, ValidatedScheme], c: Num = Fraction(1)) -> 
     ev, group, warnings, branch_notes = globals()[build](vs)
     label, rule = decide(ev, group)
     evidence.update({"branch": branch, branch: ev})
-    cert = Certificate(fired + (rule,), vs.mode, c, warnings, evidence, notes + branch_notes)
+    cert = Certificate(fired + (rule,), vs.mode, warnings, evidence, notes + branch_notes)
     return TypeVerdict(label, group.generator if label == LABEL_III_LAMBDA else None, cert)
 
 

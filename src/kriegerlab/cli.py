@@ -25,7 +25,7 @@ from .classify import (
     LABEL_III_1, LABEL_III_LAMBDA, LABEL_INCONCLUSIVE, classify,
 )
 from .cocycle import (
-    DEFAULT_DELTA, DEFAULT_SEED, DEFAULT_STATE_CAP, LATTICE_TOL, BlockTooLarge,
+    DEFAULT_DELTA, DEFAULT_SEED, DEFAULT_STATE_CAP, BlockTooLarge,
     InsufficientSamples, SearchBudgetExceeded,
     block_for, brute_force_block, estimate_ratio_set, lattice_detect,
     mc_sample_cocycle, witness_search,
@@ -71,11 +71,6 @@ def _load_scheme(path) -> ValidatedScheme:
     return validate(normalize(spec).spec)
 
 
-def _check_tolerance(name, value):
-    if not (0 < value < 1):
-        raise SpecError(f"{name} must lie in (0,1), got {value}")
-
-
 def _check_positive(name, value):
     if value < 1:
         raise SpecError(f"{name} must be a positive integer, got {value}")
@@ -86,7 +81,7 @@ def _check_positive(name, value):
 
 def cmd_classify(args) -> int:
     vs = _load_scheme(args.spec)
-    verdict = classify(vs, c=as_mode(args.c, vs.mode))
+    verdict = classify(vs)
     doc = {"command": "classify", "spec": args.spec, "verdict": verdict.to_dict()}
 
     def render(doc):
@@ -153,16 +148,13 @@ def cmd_witness(args) -> int:
 
 def cmd_sample(args) -> int:
     vs = _load_scheme(args.spec)
-    _check_tolerance("tol", args.tol)
-    _check_positive("samples", args.samples)
-    _check_positive("window", args.window)
     samples = mc_sample_cocycle(vs, seed=args.seed, n_samples=args.samples,
                                 window=args.window, start=args.start,
                                 delta=args.delta)
     lattice = None
     lattice_error = None
     try:
-        lattice = lattice_detect(samples, tol=args.tol)
+        lattice = lattice_detect(samples)
     except InsufficientSamples as exc:
         lattice_error = str(exc)
     lines = samples.export_lines()
@@ -199,7 +191,6 @@ def cmd_sample(args) -> int:
 
 def cmd_oracle(args) -> int:
     vs = _load_scheme(args.spec)
-    _check_positive("length", args.length)
     targets = [as_mode(t, vs.mode) for t in args.targets]
     block = block_for(vs, args.start, args.length, args.delta)
     results = brute_force_block(vs, block, targets)
@@ -246,15 +237,11 @@ def _labels_agree(verdict, empirical) -> bool:
 
 def cmd_report(args) -> int:
     vs = _load_scheme(args.spec)
-    _check_tolerance("tol", args.tol)
-    _check_positive("samples", args.samples)
-    _check_positive("window", args.window)
     _check_positive("max-block", args.max_block)
-    verdict = classify(vs, c=as_mode(args.c, vs.mode))
+    verdict = classify(vs)
     empirical = estimate_ratio_set(
         vs, seed=args.seed, n_samples=args.samples, window=args.window,
-        start=args.start, delta=args.delta, tol=args.tol,
-        search_block=args.max_block)
+        start=args.start, delta=args.delta, search_block=args.max_block)
     agreement = _labels_agree(verdict, empirical)
     doc = {"command": "report", "spec": args.spec,
            "analytic": verdict.to_dict(),
@@ -319,8 +306,6 @@ def _add_sampling(p):
     p.add_argument("--seed", type=_seed_flag, default=DEFAULT_SEED)
     p.add_argument("--delta", type=_fraction_flag, default=DEFAULT_DELTA,
                    help="truncation mass budget for infinite alphabets")
-    p.add_argument("--tol", type=float, default=LATTICE_TOL,
-                   help="lattice detection tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="assign a type label with a certificate")
     p.add_argument("spec")
-    p.add_argument("--c", type=_fraction_flag, default=Fraction(1),
-                   help="cap parameter of the type-III series test")
     _add_common(p)
     p.set_defaults(fn=cmd_classify)
 
@@ -366,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="analytic and empirical verdicts side by side")
     p.add_argument("spec")
-    p.add_argument("--c", type=_fraction_flag, default=Fraction(1))
     p.add_argument("--max-block", type=int, default=8, dest="max_block")
     _add_sampling(p)
     _add_common(p)

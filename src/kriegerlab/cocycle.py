@@ -445,11 +445,8 @@ def brute_force_block(vs: ValidatedScheme, block: Block, targets: Iterable[Num],
     scale S; a float target, as in float arithmetic, at |t - A/S|.
     """
     counter = [0]
-    by_tuple = {}       # _block shares one weights tuple per alphabet
-    for weights, numerators in zip(block.alphabets, block.numerators):
-        if id(weights) not in by_tuple:
-            by_tuple[id(weights)] = _moves(weights, numerators)
-    per_coordinate = [by_tuple[id(weights)] for weights in block.alphabets]
+    columns = dict(zip(block.coordinates, zip(block.alphabets, block.numerators)))
+    per_coordinate = list(_by_alphabet(vs, block.coordinates, lambda n: _moves(*columns[n])))
     scale = math.prod(s for s, _ in per_coordinate)
     moves = [m for _, m in per_coordinate]
     try:
@@ -633,24 +630,23 @@ class LatticeVerdict:
         return {"kind": self.kind, "period": self.period}
 
 
-def _real_gcd(a: float, b: float, tol: float) -> float:
+def _real_gcd(a: float, b: float) -> float:
     a, b = abs(a), abs(b)
     if a < b:
         a, b = b, a
     steps = 0
-    while b > tol and steps < 200:
+    while b > LATTICE_TOL and steps < 200:
         a, b = b, abs(a - b * round(a / b))
         steps += 1
-    return a if b <= tol else b
+    return a if b <= LATTICE_TOL else b
 
 
-def lattice_detect(samples: Union[CocycleSampleSet, Iterable[float]],
-                   tol: float = LATTICE_TOL) -> LatticeVerdict:
+def lattice_detect(samples: Union[CocycleSampleSet, Iterable[float]]) -> LatticeVerdict:
     """Classify sampled log-cocycle values as {0}, c*Z, or non-lattice.
 
     The candidate period is the real gcd of the nonzero samples by an
-    iterated-remainder cascade with cutoff ``tol``.  A lattice verdict
-    requires c > tol and every sample within min(tol, c/1000) of c*Z;
+    iterated-remainder cascade with cutoff tol = ``LATTICE_TOL``.  A lattice
+    verdict requires c > tol and every sample within min(tol, c/1000) of c*Z;
     the relative part of that bound rejects the near-tol pseudo-periods
     that the cascade produces on incommensurable inputs (where, by
     construction, the plain absolute bound would always pass).  Needs
@@ -658,7 +654,7 @@ def lattice_detect(samples: Union[CocycleSampleSet, Iterable[float]],
     """
     values = list(samples.log_values) if isinstance(samples, CocycleSampleSet) \
         else [float(s) for s in samples]
-    nonzero = [abs(s) for s in values if abs(s) > tol]
+    nonzero = [abs(s) for s in values if abs(s) > LATTICE_TOL]
     if not nonzero:
         return LatticeVerdict(ALL_ZERO)
     if len(nonzero) < 2:
@@ -667,10 +663,10 @@ def lattice_detect(samples: Union[CocycleSampleSet, Iterable[float]],
             "non-lattice")
     g = nonzero[0]
     for s in nonzero[1:]:
-        g = _real_gcd(g, s, tol)
-        if g <= tol:
+        g = _real_gcd(g, s)
+        if g <= LATTICE_TOL:
             return LatticeVerdict(NO_LATTICE)
-    bound = min(tol, g / 1000.0)
+    bound = min(LATTICE_TOL, g / 1000.0)
     for s in values:
         if abs(s - g * round(s / g)) > bound:
             return LatticeVerdict(NO_LATTICE)
@@ -689,7 +685,7 @@ GRID_EPS = 1e-3               # their eps, at most half the target
 def estimate_ratio_set(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
                        n_samples: int = 1000, window: int = 20,
                        start: int = 1000, delta: Num = DEFAULT_DELTA,
-                       tol: float = LATTICE_TOL, search_block: int = 8) -> dict:
+                       search_block: int = 8) -> dict:
     """Empirical subtype estimate from sampling plus witness probes.
 
     Heuristic, reported side by side with the analytic verdict and never
@@ -713,7 +709,7 @@ def estimate_ratio_set(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
     lattice = None
     if not significant:
         label = "II-like"
-        if all(abs(s) <= tol for s in values):
+        if all(abs(s) <= LATTICE_TOL for s in values):
             lattice = LatticeVerdict(ALL_ZERO)
         evidence["note"] = ("all fiber increments vanish at this scope; "
                             "consistent with type I or type II")
@@ -723,7 +719,7 @@ def estimate_ratio_set(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
                             "achievable ratios collapse toward 0 and 1")
     else:
         try:
-            lattice = lattice_detect(samples, tol)
+            lattice = lattice_detect(samples)
         except InsufficientSamples:
             lattice = None
         if lattice is not None and lattice.kind == LATTICE:

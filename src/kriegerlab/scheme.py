@@ -303,9 +303,8 @@ class GeometricTail:
         return self.base[-1] * self.ratio ** (i - m + 1)
 
     def weights_at(self, n: int, pos: int, mode: str):
-        raise InfiniteAlphabet(
-            "a geometric_tail alphabet is infinite, but the series tests need finite "
-            "alphabets on finite classes; give those coordinates explicit weights")
+        raise InfiniteAlphabet("a geometric_tail alphabet is infinite and has no "
+                               "finite weight vector")
 
     def ratio_limit(self, i: int) -> Num:
         return _div(self.weight(i), self.base[0])

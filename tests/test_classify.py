@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import (
@@ -58,11 +58,11 @@ def test_type_II1_infinite_alphabet_precondition():
 
 
 def test_type_III_constant_term_exact():
-    # oracle by direct evaluation: (2/9)*min(1,C) + (2/9)*min(1/4,C)
-    t = ratio_defect((F(2, 3), F(1, 3)), F(1))
+    # oracle by direct evaluation at C = 1: (2/9)*min(1,C) + (2/9)*min(1/4,C)
+    t = ratio_defect((F(2, 3), F(1, 3)))
     assert t == F(2, 9) + F(1, 18) == F(5, 18)
     assert t > 0
-    v = type_III_series(validate(powers(F(1, 2))), F(1))
+    v = type_III_series(validate(powers(F(1, 2))))
     assert v.divergent
 
 
@@ -76,60 +76,53 @@ def _pairwise_ratio_defect(weights, c):
     return total
 
 
-# small numerators repeat weights and hit the cap boundary d**2 == C:
-# 2:1 at C = 1, 3:2 and 1:2 at C = 1/4, 5:2 at C = 9/4
+# small numerators repeat weights and hit the cap boundary d**2 == C = 1 (2:1)
 weight_values = st.one_of(st.integers(1, 12),
                           st.builds(F, st.integers(1, 12), st.integers(1, 6)))
-caps = st.one_of(st.sampled_from((F(1), F(1, 4), F(9, 4))),
-                 st.builds(F, st.integers(1, 40), st.integers(1, 12)))
+# and so do 64 products of small powers of 2 and 3
+_rng = random.Random(7)
+LONG_WEIGHTS = [F(2 ** _rng.randint(0, 8) * 3 ** _rng.randint(0, 2), _rng.randint(1, 5))
+                for _ in range(64)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(weight_values, min_size=1, max_size=9), caps)
-def test_exact_ratio_defect_matches_pairwise_sum(weights, c):
-    value = ratio_defect(tuple(weights), c)
+@given(st.lists(weight_values, min_size=1, max_size=9))
+@example(LONG_WEIGHTS)
+def test_exact_ratio_defect_matches_pairwise_sum(weights):
+    value = ratio_defect(tuple(weights))
     assert isinstance(value, F)
-    assert value == _pairwise_ratio_defect(weights, c)
+    assert value == _pairwise_ratio_defect(weights, 1)
 
 
-@pytest.mark.parametrize("weights, c, expected", [
-    ((F(1, 2),), F(1), 0),
-    ((2, 1), F(1), 2 * 1 + 2 * F(1, 4)),                 # 2:1 sits on the cap
-    ((F(2, 3), F(1, 3)), F(1, 4), F(2, 9) * (F(1, 4) + F(1, 4))),
-    ((5, 2, 5), F(9, 4), 2 * 10 * F(9, 4) + 2 * 10 * F(9, 25)),
+@pytest.mark.parametrize("weights, expected", [
+    ((F(1, 2),), 0),
+    ((2, 1), 2 * 1 + 2 * F(1, 4)),                      # 2:1 sits on the cap
+    # 4:2 and 2:1 sit on the cap, 4:1 lies beyond it
+    ((4, 2, 1), 8 * 1 + 2 * 1 + 4 * 1 + 8 * F(1, 4) + 2 * F(1, 4) + 4 * F(9, 16)),
 ])
-def test_exact_ratio_defect_on_the_cap_boundary(weights, c, expected):
-    assert ratio_defect(weights, c) == expected
+def test_exact_ratio_defect_on_the_cap_boundary(weights, expected):
+    assert ratio_defect(weights) == expected
 
 
 def test_type_III_uniform_is_summable_zero():
-    v = type_III_series(validate(uniform_two_point()), F(1))
+    v = type_III_series(validate(uniform_two_point()))
     assert v.summable
     assert v.total == 0
 
 
 def test_type_III_type_one_spec_summable():
     # terms comparable to the geometric weight deviation
-    assert type_III_series(validate(type_one_spec()), F(1)).summable
-
-
-def test_type_III_cap_choice_does_not_change_verdict():
-    vs = validate(powers(F(1, 2)))
-    for c in (F(1, 100), F(1), F(10)):
-        assert type_III_series(vs, c).divergent
-    vs2 = validate(type_one_spec())
-    for c in (F(1, 100), F(1), F(10)):
-        assert type_III_series(vs2, c).summable
+    assert type_III_series(validate(type_one_spec())).summable
 
 
 def test_type_III_zero_one_spec_comparable_to_harmonic():
     spec = zero_one_spec()
     vs = validate(spec)
-    v = type_III_series(vs, 1.0)
+    v = type_III_series(vs)
     assert v.divergent
     # oracle: the even-coordinate value behaves like 2/n
     for n in (10 ** 3, 10 ** 5):
-        t = ratio_defect(vs.weights_at(2 * ((n + 1) // 2)), 1.0)
+        t = ratio_defect(vs.weights_at(2 * ((n + 1) // 2)))
         m = 2 * ((n + 1) // 2)
         assert 1.5 / m < t < 2.5 / m
 
@@ -163,10 +156,24 @@ def test_series_add_prefix_and_finite_class_parts():
     assert abs(v2.total - (ud((2 / 3, 1 / 3)) + 2 * ud((3 / 4, 1 / 4)))) < 1e-15
     # ratio defect at C = 1: (2/9)*1 + (2/9)*(1/4) = 5/18 for the prefix and
     # (3/16)*1 + (3/16)*(4/9) = 13/48 for each finite coordinate
-    v3 = type_III_series(vs, F(1))
+    v3 = type_III_series(vs)
     assert v3.summable
     assert v3.total == F(5, 18) + 2 * F(13, 48) == F(59, 72)
     assert classify(vs).label == "II_1"
+
+
+def test_series_take_a_finite_class_of_infinite_alphabets_as_summable():
+    # a geometric tail on coordinate 1 has no weight vector to sum; the II_1
+    # precondition reads it all the same
+    tail = IndexClass(Indices(members=(1,)), GeometricTail((F(1, 2),), F(1, 2)))
+    rest = IndexClass(Indices(2, 1), type_one_spec().classes[0].template)
+    vs = validate(SchemeSpec("rational", (), (tail, rest)))
+    for series in (type_I_series, type_III_series):
+        v = series(vs)
+        assert (v.summable, v.total) == (True, None)
+        assert "C1: finitely many non-zero terms" in v.evidence
+    assert "precondition" in type_II1_series(vs).evidence
+    assert classify(vs).label == "I_inf"
 
 
 @pytest.mark.parametrize("spec", [prefixed_finite_spec(), prefixed_finite_spec("float"),
@@ -408,7 +415,10 @@ def test_permutation_invariance_small():
 
 
 def test_prefix_invariance_small():
+    # the shifted coordinates are a random prefix or a finite class of any
+    # template of the corpus, geometric tail included
     rng = random.Random(13)
+    templates = [c.template for spec in _invariance_corpus() for c in spec.classes]
     for spec in _invariance_corpus():
         p = 4
         shifted = SchemeSpec(
@@ -420,6 +430,13 @@ def test_prefix_invariance_small():
             again = SchemeSpec(shifted.mode, _random_prefix(rng, p), shifted.classes)
             v = classify(again)
             assert (v.label, v.lam) == (base.label, base.lam)
+        for tpl in templates:
+            finite = IndexClass(Indices(members=tuple(range(1, p + 1))), tpl)
+            v = classify(SchemeSpec(shifted.mode, (), (finite,) + shifted.classes))
+            expected = (base.label, base.lam)
+            if base.label == "II_1" and tpl.alphabet_size() is None:
+                expected = ("II_inf", None)         # II_1 tensor I_inf
+            assert (v.label, v.lam) == expected
 
 
 def test_normalization_invariance_small():
@@ -466,10 +483,12 @@ def test_replay_decides_from_recorded_values_not_flags(name, branch, flag, hones
 
 
 def test_certificate_records_mode_and_cap():
-    v = classify(powers(F(1, 2)), c=F(2))
+    v = classify(powers(F(1, 2)))
     assert v.certificate.mode == "rational"
-    assert v.certificate.c_parameter == F(2)
-    assert v.certificate.to_dict()["C"] == "2"
+    assert v.certificate.to_dict()["C"] == "1"
+    v = classify(prefixed_finite_spec("float"))
+    assert v.certificate.mode == "float"
+    assert v.certificate.to_dict()["C"] == 1.0
 
 
 def test_labels_always_admissible():

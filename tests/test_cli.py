@@ -302,9 +302,36 @@ def test_budget_flags_validated(capsys):
     code, _, err = run_cli(capsys, "witness", str(SPEC_DIR / "powers_half.spec"),
                            "--target", "0.5", "--eps", "1e-3", "--max-block", "0")
     assert code == 1
-    code, _, err = run_cli(capsys, "sample", str(SPEC_DIR / "powers_half.spec"),
-                           "--samples", "0")
-    assert code == 1
+    # --samples, --window and --length carry the library's one range message
+    for argv, message in ((["sample", "--samples", "0"], "n_samples must be >= 1"),
+                          (["report", "--samples", "0"], "n_samples must be >= 1"),
+                          (["sample", "--window", "0"], "block length must be >= 1"),
+                          (["report", "--window", "0"], "block length must be >= 1"),
+                          (["oracle", "--length", "0", "--targets", "1/2"],
+                           "block length must be >= 1")):
+        code, _, err = run_cli(capsys, argv[0], str(SPEC_DIR / "powers_half.spec"), *argv[1:])
+        assert (code, err) == (1, f"error: {message}\n")
+
+
+def test_subcommand_options_are_pinned():
+    # the type-III cap C and the lattice tolerance are constants, not flags
+    import argparse
+    from kriegerlab.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(o for a in p._actions for o in a.option_strings)
+               for name, p in sub.choices.items()}
+    common = ["--format", "--help", "-h"]
+    sampling = ["--delta", "--samples", "--seed", "--start", "--window"]
+    assert options == {
+        "classify": common,
+        "witness": sorted(common + ["--delta", "--eps", "--max-block", "--start",
+                                    "--state-cap", "--target"]),
+        "sample": sorted(common + sampling + ["--out"]),
+        "oracle": sorted(common + ["--delta", "--length", "--start", "--targets"]),
+        "report": sorted(common + sampling + ["--max-block"]),
+        "convert": ["--from", "--help", "--out", "-h"],
+    }
 
 
 DELTA_ARGS = {
@@ -429,28 +456,31 @@ def test_float_witness_skips_block_values_that_underflow(tmp_path, capsys):
     assert "no witness in scope" in out
 
 
-def test_geometric_tail_on_a_finite_class_is_an_input_error(tmp_path, capsys):
-    # the series tests sum a finite class's weight vectors, which a
-    # geometric tail does not have; sampling truncates it and runs
+@pytest.mark.parametrize("template, label", [
+    ({"kind": "two_point", "lambda": {"form": "const", "value": "1/3"}},
+     "III_lambda lambda=1/3"),
+    ({"kind": "explicit", "weights": ["1/2", "1/2"]}, "II_inf"),     # II_1 tensor I_inf
+])
+def test_geometric_tail_on_a_finite_class_is_classified(tmp_path, capsys, template, label):
+    # finitely many coordinates of infinite alphabets add summable terms
+    # with no total, and fail the finite-alphabet precondition of II_1
     path = tmp_path / "finite_tail.spec"
     path.write_text(json.dumps({
         "mode": "rational",
         "classes": [{"indices": {"list": [1]},
                      "template": {"kind": "geometric_tail", "base": ["1/2"],
                                   "ratio": "1/2"}},
-                    {"indices": {"start": 2, "step": 1},
-                     "template": {"kind": "explicit", "weights": ["1/2", "1/2"]}}]}))
-    for command in ("classify", "report"):
-        code, out, err = run_cli(capsys, command, str(path))
-        assert (code, out) == (1, "")
-        assert "the series tests need finite alphabets on finite classes" in err
+                    {"indices": {"start": 2, "step": 1}, "template": template}]}))
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert (code, out.splitlines()[0]) == (0, label)
+    code, out, _ = run_cli(capsys, "report", str(path), "--samples", "50")
+    assert (code, out.splitlines()[0]) == (0, f"analytic:  {label}")
     assert run_cli(capsys, "sample", str(path), "--samples", "5", "--window", "4")[0] == 0
 
 
 BEYOND_FLOAT = {
     "witness": ["--target", "1e400", "--eps", "1/2"],
     "oracle": ["--targets", "1e400"],
-    "classify": ["--c", "1e400"],
 }
 
 

@@ -166,7 +166,7 @@ def test_replay_ignores_recorded_flags_and_group(spec, data):
 SERIES = (
     (type_I_series, lambda w: 1 - max(w)),
     (type_II1_series, lambda w: 0 if len(set(w)) == 1 else uniformity_defect(w)),
-    (type_III_series, lambda w: ratio_defect(w, 1)),
+    (type_III_series, ratio_defect),
 )
 
 
