@@ -269,6 +269,13 @@ def _cluster_report(raw, mode: str, note: str) -> ClusterReport:
                          note=note)
 
 
+def _ratio_points(vs: ValidatedScheme) -> list:
+    """(value, class label, True) for each ratio limit of an infinite class."""
+    labels = vs.class_labels()
+    return [(r, labels[k], True)
+            for k, cls in vs.infinite_classes() for r in cls.template.ratio_limits()]
+
+
 def union_cluster_report(vs: ValidatedScheme) -> ClusterReport:
     """Genuine cluster points of all symbol ratios (symbol 0 excluded).
 
@@ -281,82 +288,45 @@ def union_cluster_report(vs: ValidatedScheme) -> ClusterReport:
     if vs.has_infinite_alphabet():
         return ClusterReport((), None, contains_zero=True, unbounded=True,
                              note="infinite alphabet: ratio values accumulate at 0")
-    raw = []
-    labels = vs.class_labels()
-    for k, cls in vs.infinite_classes():
-        m = cls.template.max_alphabet()
-        sizes = range(1, m) if m is not None else None
-        if sizes is None:
-            # capped templates: unbounded sizes, finitely many distinct ratios
-            distinct = set()
-            i = 1
-            while True:
-                r = cls.template.ratio_limit(i)
-                if r in distinct:
-                    break
-                distinct.add(r)
-                raw.append((r, labels[k], True))
-                i += 1
-        else:
-            for i in sizes:
-                raw.append((cls.template.ratio_limit(i), labels[k], True))
-    return _cluster_report(raw, vs.mode, "union of per-symbol cluster sets, symbol 0 excluded")
+    return _cluster_report(_ratio_points(vs), vs.mode,
+                           "union of per-symbol cluster sets, symbol 0 excluded")
 
 
 # ---------------------------------------------------------------------------
 # the two-point view
 
 @dataclass(frozen=True)
-class LambdaGroup:
-    """One cluster value of the lambda sequence with its index classes."""
-
-    limit: Num
-    classes: tuple            # class labels
-    deviations: tuple         # one Deviation per class, comparable to the
-                              # multiplicative deviation of lambda_n from the limit
-
-    def to_dict(self):
-        return {"limit": format_scalar(self.limit),
-                "classes": list(self.classes),
-                "deviations": [d.describe() for d in self.deviations]}
-
-
-@dataclass(frozen=True)
 class LambdaReport:
     clusters: ClusterReport
-    groups: tuple
+    deviations: dict          # class label -> its Deviation, comparable to the
+                              # multiplicative deviation of lambda_n from its limit
     ignored_prefix: int
-
-    def limits(self):
-        return tuple(g.limit for g in self.groups)
 
     def to_dict(self):
         return {"clusters": self.clusters.to_dict(),
-                "groups": [g.to_dict() for g in self.groups],
+                "groups": [{"limit": format_scalar(p.value),
+                            "classes": list(p.witnesses),
+                            "deviations": [self.deviations[w].describe()
+                                           for w in p.witnesses]}
+                           for p in self.clusters.points],
                 "ignored_prefix": self.ignored_prefix}
 
 
 def lambda_clusters(vs: ValidatedScheme) -> LambdaReport:
     """Cluster values of lambda_n = mu_n(1)/mu_n(0) with the class partition.
 
-    Requires every infinite class to be two-point.  Each group is one
-    merged point of the cluster report, with its classes' deviations.
-    Prefix coordinates and finite classes are finitely many and cannot
-    create cluster values; they are ignored and counted in
-    ``ignored_prefix``.
+    Requires every infinite class to be two-point.  Each cluster point
+    is a group of classes, each with its deviation.  Prefix coordinates
+    and finite classes are finitely many and cannot create cluster
+    values; they are ignored and counted in ``ignored_prefix``.
     """
-    ignored = len(vs.prefix)
     labels = vs.class_labels()
-    raw, deviations = [], {}
-    for k, cls in enumerate(vs.classes):
-        if not cls.indices.infinite:
-            ignored += len(cls.indices.members)
-            continue
+    deviations = {}
+    for k, cls in vs.infinite_classes():
         if cls.template.max_alphabet() != 2:
             raise NotTwoPoint(f"template {cls.template.describe()} is not two-point")
-        raw.append((cls.template.ratio_limit(1), labels[k], True))
         deviations[labels[k]] = cls.template.deviation
-    report = _cluster_report(raw, vs.mode, "cluster values of the lambda sequence")
-    groups = tuple(LambdaGroup(p.value, p.witnesses, tuple(deviations[w] for w in p.witnesses))
-                   for p in report.points)
-    return LambdaReport(report, groups, ignored)
+    ignored = len(vs.prefix) + sum(len(c.indices.members) for c in vs.classes
+                                   if not c.indices.infinite)
+    report = _cluster_report(_ratio_points(vs), vs.mode, "cluster values of the lambda sequence")
+    return LambdaReport(report, deviations, ignored)

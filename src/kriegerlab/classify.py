@@ -27,7 +27,7 @@ from .groups import CYCLIC, DENSE, TRIVIAL, mult_group
 from .scheme import (
     CappedGeometric, ExplicitWeights, GeometricTail, Perturbed, SchemeSpec,
     TP_CONST, TP_EXP, TP_WEIGHT, TwoPoint, ValidatedScheme, ZERO, _div,
-    normalize, validate,
+    _two_point_weights, normalize, validate,
 )
 
 LABEL_I_INF = "I_inf"
@@ -142,18 +142,8 @@ def _ratio_defect_exact(weights) -> Fraction:
     return Fraction(num + den * capped, den * lcm * lcm)
 
 
-def _two_point_weights(lam: Num):
-    return (_div(1, 1 + lam), _div(lam, 1 + lam))
-
-
 # ---------------------------------------------------------------------------
 # the three series tests: one rule table and one driver
-
-def _fixed_weights(tpl, mode: str) -> tuple:
-    """The weight vector of a class that carries the same one at every
-    coordinate (explicit, or perturbed with a zero deviation)."""
-    return tpl.weights_at(0, 0, mode)
-
 
 def _zero_if_uniform(weights, defect) -> Term:
     return Term("zero") if _is_uniform(weights) else Term("const", value=defect(weights))
@@ -204,9 +194,7 @@ def _perturbed_II1(tpl: Perturbed, mode) -> Term:
     if _is_uniform(tpl.limit):
         # comparable to eps_n**2 (the zero term for a zero deviation)
         return Term.from_deviation(tpl.deviation.squared())
-    limit = _fixed_weights(tpl, mode) if tpl.deviation.family == ZERO \
-        else _normalized_limit(tpl)
-    return _limit_term(tpl, uniformity_defect(limit))
+    return _limit_term(tpl, uniformity_defect(_normalized_limit(tpl)))
 
 
 def _perturbed_III(tpl: Perturbed, mode) -> Term:
@@ -221,8 +209,8 @@ def _perturbed_III(tpl: Perturbed, mode) -> Term:
 _SERIES_RULES = {
     ExplicitWeights.kind: (
         lambda t, mode: Term("const", value=1 - _div(max(t.weights), t.total())),
-        lambda t, mode: _zero_if_uniform(_fixed_weights(t, mode), uniformity_defect),
-        lambda t, mode: _zero_if_uniform(_fixed_weights(t, mode), ratio_defect),
+        lambda t, mode: _zero_if_uniform(t.weights_at(0, 0, mode), uniformity_defect),
+        lambda t, mode: _zero_if_uniform(t.weights_at(0, 0, mode), ratio_defect),
     ),
     GeometricTail.kind: (
         lambda t, mode: Term("const", value=1 - _div(max(t.base), t.total())),
@@ -413,7 +401,7 @@ def classify_III_two_point(vs: ValidatedScheme) -> tuple:
     change the subtype and are ignored here, whatever their alphabets.
     """
     lr = lambda_clusters(vs)
-    limits = lr.limits()
+    limits = lr.clusters.values()
     lambda_set = [format_scalar(t) for t in limits]
     nonzero = [t for t, p in zip(limits, lambda_set) if not _is_limit(p, 0)]
     zero_one = _zero_one(lambda_set)
@@ -424,16 +412,15 @@ def classify_III_two_point(vs: ValidatedScheme) -> tuple:
             "ambiguous-zero-in-lambda-set: 0 is a cluster value; the group is "
             "generated from the non-zero values only")
 
+    indices = dict(zip(vs.class_labels(), (c.indices for c in vs.classes)))
     eps_verdicts = {}
-    for group, printed in zip(lr.groups, lambda_set):
+    for point, printed in zip(lr.clusters.points, lambda_set):
         if _is_limit(printed, 0):
             continue
-        parts = []
-        for label, dev in zip(group.classes, group.deviations):
-            k = int(label[1:]) - 1
-            parts.append(SeriesPart(label, vs.classes[k].indices,
-                                    Term.from_deviation(dev, exact=True)))
-        eps_verdicts[group.limit] = summability(tuple(parts))
+        eps_verdicts[point.value] = summability(tuple(
+            SeriesPart(label, indices[label],
+                       Term.from_deviation(lr.deviations[label], exact=True))
+            for label in point.witnesses))
 
     if zero_one:
         divergent_at = [str(format_scalar(t)) for t, v in eps_verdicts.items()

@@ -412,7 +412,7 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
         else:
             # left values ascending, idx - 1 before idx; a strict < keeps
             # the first pair found
-            right_vals = sorted(right[k])
+            right_vals = left_vals if right[k] is left[-1] else sorted(right[k])
             best_g, best = eps, None
             for a in left_vals:
                 # a left value that underflowed to 0.0 completes to 0, never close

@@ -118,15 +118,6 @@ class Deviation:
             return self.values[pos]
         return Fraction(0)
 
-    def at_float(self, n: int, pos: int) -> float:
-        if self.family == ZERO:
-            return 0.0
-        if self.family == GEOMETRIC:
-            return float(self.coeff) * float(self.rho) ** n
-        if self.family == POWER:
-            return float(self.coeff) * float(n) ** -float(self.exponent)
-        return float(self.values[pos]) if pos < len(self.values) else 0.0
-
     def strictly_positive(self) -> bool:
         """True when eps_n > 0 for every coordinate."""
         return self.family in (GEOMETRIC, POWER)
@@ -251,8 +242,8 @@ class ExplicitWeights:
     def weights_at(self, n: int, pos: int, mode: str) -> tuple:
         return tuple(as_mode(w, mode) for w in self.weights)
 
-    def ratio_limit(self, i: int) -> Num:
-        return _div(self.weights[i], self.weights[0])
+    def ratio_limits(self) -> tuple:
+        return tuple(_div(w, self.weights[0]) for w in self.weights[1:])
 
     def check(self, mode: str):
         if len(self.weights) < 2:
@@ -305,9 +296,6 @@ class GeometricTail:
     def weights_at(self, n: int, pos: int, mode: str):
         raise InfiniteAlphabet("a geometric_tail alphabet is infinite and has no "
                                "finite weight vector")
-
-    def ratio_limit(self, i: int) -> Num:
-        return _div(self.weight(i), self.base[0])
 
     def check(self, mode: str):
         if not self.base:
@@ -379,9 +367,9 @@ class TwoPoint:
         if self.form == TP_CONST:
             return as_mode(self.value, mode)
         if self.form == TP_EXP:
-            return float(self.value) * math.exp(-self.deviation.at_float(n, pos))
+            return float(self.value) * math.exp(-self.deviation.at(n, pos))
         if self.form == TP_ONE_MINUS_EXP:
-            return 1.0 - math.exp(-self.deviation.at_float(n, pos))
+            return 1.0 - math.exp(-self.deviation.at(n, pos))
         eps = self.deviation.at(n, pos)
         eps = as_mode(eps, mode)
         return _div(eps, 1 - eps)
@@ -395,13 +383,10 @@ class TwoPoint:
         if self.form == TP_WEIGHT:
             eps = as_mode(self.deviation.at(n, pos), mode)
             return (1 - eps, eps)
-        lam = self.lam_at(n, pos, mode)
-        return (_div(1, 1 + lam), _div(lam, 1 + lam))
+        return _two_point_weights(self.lam_at(n, pos, mode))
 
-    def ratio_limit(self, i: int) -> Num:
-        if i == 0:
-            return Fraction(1)
-        return self.lam_limit()
+    def ratio_limits(self) -> tuple:
+        return (self.lam_limit(),)
 
     def check(self, mode: str):
         if self.form == TP_CONST:
@@ -485,13 +470,13 @@ class Perturbed:
         if self.deviation.family == ZERO:
             total = sum(self.limit)
             return tuple(as_mode(_div(v, total), mode) for v in self.limit)
-        s = math.exp(-self.deviation.at_float(n, pos))
+        s = math.exp(-self.deviation.at(n, pos))
         raw = [float(self.limit[0])] + [float(v) * s for v in self.limit[1:]]
         total = sum(raw)
         return tuple(v / total for v in raw)
 
-    def ratio_limit(self, i: int) -> Num:
-        return _div(self.limit[i], self.limit[0])
+    def ratio_limits(self) -> tuple:
+        return tuple(_div(v, self.limit[0]) for v in self.limit[1:])
 
     def check(self, mode: str):
         if len(self.limit) < 2:
@@ -566,8 +551,8 @@ class CappedGeometric:
                 for i in range(min(size, self.cap + 1))]
         return tuple(head) + (head[-1],) * (size - len(head))
 
-    def ratio_limit(self, i: int) -> Num:
-        return self.ratio ** min(i, self.cap)
+    def ratio_limits(self) -> tuple:
+        return tuple(self.ratio ** k for k in range(1, self.cap + 1))
 
     def check(self, mode: str):
         if not (0 < self.ratio < 1):
@@ -589,7 +574,9 @@ class CappedGeometric:
 
 
 # every template says by ``coordinate_free`` whether all coordinates of
-# its class carry one alphabet (see ValidatedScheme.alphabet_key)
+# its class carry one alphabet (see ValidatedScheme.alphabet_key); a
+# finite-alphabet template gives by ``ratio_limits()`` the limits of
+# mu_n(i)/mu_n(0) for its symbols i >= 1, in symbol order, repeats kept
 Template = Union[ExplicitWeights, GeometricTail, TwoPoint, Perturbed, CappedGeometric]
 
 
@@ -597,6 +584,10 @@ def _div(a, b) -> Num:
     if is_exact(a) and is_exact(b):
         return Fraction(a) / Fraction(b)
     return a / b
+
+
+def _two_point_weights(lam: Num) -> tuple:
+    return (_div(1, 1 + lam), _div(lam, 1 + lam))
 
 
 def _descending_normalized(vec) -> tuple:
@@ -790,7 +781,7 @@ class ValidatedScheme:
         return tuple((k, c) for k, c in enumerate(self.classes) if c.indices.infinite)
 
     def has_infinite_alphabet(self) -> bool:
-        return any(c.template.kind == GeometricTail.kind for _, c in self.infinite_classes())
+        return any(c.template.alphabet_size() is None for _, c in self.infinite_classes())
 
     def limsup_alphabet(self):
         """Largest alphabet size along infinitely many coordinates (None = infinite)."""

@@ -82,14 +82,14 @@ def test_rational_prefix_ratios_near_zero_are_not_zero():
 
 def test_lambda_constant_half():
     lr = lambda_clusters(validate(powers(F(1, 2))))
-    assert lr.limits() == (F(1, 2),)
-    assert lr.groups[0].deviations[0].family == "zero"
+    assert lr.clusters.values() == (F(1, 2),)
+    assert lr.deviations["C1"].family == "zero"
 
 
 def test_lambda_zero_one_limits():
     lr = lambda_clusters(validate(zero_one_spec()))
-    assert [float(t) for t in lr.limits()] == [0.0, 1.0]
-    fams = {float(g.limit): g.deviations[0].family for g in lr.groups}
+    assert [float(t) for t in lr.clusters.values()] == [0.0, 1.0]
+    fams = {float(p.value): lr.deviations[p.witnesses[0]].family for p in lr.clusters.points}
     assert fams[0.0] == "power"
     assert fams[1.0] == "geometric"
 
@@ -99,7 +99,7 @@ def test_lambda_alternating_limits():
         IndexClass(ODDS, TwoPoint("const", F(1, 2))),
         IndexClass(EVENS, TwoPoint("const", F(1, 3)))))
     lr = lambda_clusters(validate(spec))
-    assert set(lr.limits()) == {F(1, 2), F(1, 3)}
+    assert set(lr.clusters.values()) == {F(1, 2), F(1, 3)}
 
 
 def test_rationals_that_share_a_float_are_one_point_each():
@@ -110,17 +110,38 @@ def test_rationals_that_share_a_float_are_one_point_each():
         IndexClass(Indices(j + 1, 3), TwoPoint("const", lam))
         for j, lam in enumerate((a, b, a))))
     lr = lambda_clusters(validate(spec))
-    assert lr.clusters.values() == lr.limits() == (a, b)
-    assert [g.classes for g in lr.groups] == [("C1", "C3"), ("C2",)]
+    assert lr.clusters.values() == (a, b)
+    assert [p.witnesses for p in lr.clusters.points] == [("C1", "C3"), ("C2",)]
 
 
-def test_lambda_matches_generic_ratio_clusters():
-    # the two-point parametrization agrees with the generic symbol-1 ratios
-    spec = SchemeSpec("rational", (), (
+# (spec, coordinates far out in each infinite class) per finite-alphabet
+# template kind
+RATIO_ORACLE_SPECS = {
+    "explicit_repeated_weight": (single_class(ExplicitWeights((F(4, 9), F(2, 9), F(2, 9),
+                                                               F(1, 9)))), (1000,)),
+    "two_point_const": (SchemeSpec("rational", (), (
         IndexClass(ODDS, TwoPoint("const", F(1, 2))),
-        IndexClass(EVENS, TwoPoint("const", F(2, 5)))))
+        IndexClass(EVENS, TwoPoint("const", F(2, 5))))), (1001, 1000)),
+    "perturbed_zero_deviation": (single_class(Perturbed((F(1, 2), F(1, 3), F(1, 6)))),
+                                 (1000,)),
+    # cap 3 with 41 symbols at coordinate 40: the ratios repeat from symbol 3 on
+    "capped": (capped_scheme(F(1, 3), cap=3), (40,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIO_ORACLE_SPECS))
+def test_cluster_points_are_the_weight_ratios_far_out(name):
+    # an oracle from the weight vectors: the distinct ratios w[i]/w[0],
+    # i >= 1, of coordinates far out in every infinite class
+    spec, coordinates = RATIO_ORACLE_SPECS[name]
     vs = validate(spec)
-    assert set(lambda_clusters(vs).limits()) == set(union_cluster_report(vs).values())
+    ratios = set()
+    for n in coordinates:
+        w = vs.weights_at(n)
+        ratios.update(wi / w[0] for wi in w[1:])
+    assert union_cluster_report(vs).values() == tuple(sorted(ratios))
+    if vs.all_two_point():
+        assert lambda_clusters(vs).clusters.values() == tuple(sorted(ratios))
 
 
 # ---------------------------------------------------------------------------

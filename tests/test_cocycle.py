@@ -436,6 +436,23 @@ def test_shared_levels_are_counted_but_not_enumerated(powers_half, monkeypatch):
             search(powers_half, target, eps, max_block=46, state_cap=total - 1)
 
 
+def test_float_search_sorts_a_shared_level_once(monkeypatch):
+    # at an even length the right half's last level is the left half's
+    # last level, already sorted: 10 lengths make 5 left and 5 right sorts,
+    # at the odd lengths, and the one alphabet's moves are sorted once
+    vs = validate(single_class(ExplicitWeights(tuple(w / 17 for w in (7, 5, 3, 2))),
+                               mode="float"))
+    sorts = []
+
+    def counted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+    # a module global shadows the builtin for every call in the module
+    monkeypatch.setattr(cocycle, "sorted", counted, raising=False)
+    assert witness_search(vs, 1000 / 1013, 1e-12, max_block=10) is None
+    assert len(sorts) <= 11
+
+
 # (spec, target value, the first block length achieving it): powers(r)
 # reaches r**j from length |j| on; interleave(1/2, 1/3) reaches
 # 2**-a * 3**-b once a block holds a odd and b even coordinates
