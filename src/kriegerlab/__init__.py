@@ -17,8 +17,7 @@ from .scheme import (
 )
 from .asymptotics import (
     ClusterReport, LambdaReport, NotTwoPoint, SummabilityVerdict,
-    constant_series, geometric_series, lambda_clusters, power_series,
-    summability, union_cluster_report,
+    lambda_clusters, summability, union_cluster_report,
 )
 from .groups import (
     DomainError, GroupStructure, ZeroInSet, commensurable, mult_group,
@@ -28,12 +27,12 @@ from .classify import (
     test_type_III,
 )
 from .cocycle import (
-    Block, BlockTooLarge, CocycleSampleSet, DEFAULT_SEED, InsufficientSamples,
-    LatticeVerdict, OverlappingBlocks, SearchBudgetExceeded, SymbolOutOfRange,
-    Witness, WordLengthMismatch, block_for, brute_force_block, cocycle_ratio,
-    compose_witnesses, estimate_ratio_set, lattice_detect, log_cocycle,
-    mc_sample_cocycle, replay_witness, witness_search,
+    Block, CocycleSampleSet, DEFAULT_SEED, InsufficientSamples, LatticeVerdict,
+    OverlappingBlocks, SearchBudgetExceeded, SymbolOutOfRange, Witness,
+    WordLengthMismatch, block_for, brute_force_block, cocycle_ratio,
+    compose_witnesses, estimate_ratio_set, lattice_detect, mc_sample_cocycle,
+    replay_witness, witness_search,
 )
-from .specfile import SpecFileError, dump_spec, load_spec, parse_spec, save_spec
+from .specfile import SpecFileError, dump_spec, load_spec, parse_spec
 
 __version__ = "0.1.0"

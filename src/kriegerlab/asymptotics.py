@@ -177,20 +177,6 @@ def summability(series: tuple) -> SummabilityVerdict:
     return SummabilityVerdict(SUMMABLE, evidence, total=total)
 
 
-# one-part series, for building summability examples by hand
-
-def geometric_series(coeff: Num, rho: Num, indices: Indices = Indices(1, 1)) -> tuple:
-    return (SeriesPart("series", indices, Term("geometric", rho=rho, scale=coeff, exact=True)),)
-
-
-def power_series(p: Num, coeff: Num = 1, indices: Indices = Indices(1, 1)) -> tuple:
-    return (SeriesPart("series", indices, Term("power", p=p, scale=coeff, exact=True)),)
-
-
-def constant_series(c: Num, indices: Indices = Indices(1, 1)) -> tuple:
-    return (SeriesPart("series", indices, Term("const", value=c)),)
-
-
 # ---------------------------------------------------------------------------
 # cluster reports
 

@@ -25,10 +25,9 @@ from .classify import (
     LABEL_III_1, LABEL_III_LAMBDA, LABEL_INCONCLUSIVE, classify,
 )
 from .cocycle import (
-    DEFAULT_DELTA, DEFAULT_SEED, DEFAULT_STATE_CAP, BlockTooLarge,
-    InsufficientSamples, SearchBudgetExceeded,
-    block_for, brute_force_block, estimate_ratio_set, lattice_detect,
-    mc_sample_cocycle, witness_search,
+    DEFAULT_DELTA, DEFAULT_SEED, DEFAULT_STATE_CAP, InsufficientSamples,
+    SearchBudgetExceeded, block_for, brute_force_block, estimate_ratio_set,
+    lattice_detect, mc_sample_cocycle, witness_search,
 )
 from .scheme import (
     FactorSpec, SpecError, ValidatedScheme, factor_to_scheme, normalize,
@@ -85,12 +84,8 @@ def cmd_classify(args) -> int:
     doc = {"command": "classify", "spec": args.spec, "verdict": verdict.to_dict()}
 
     def render(doc):
-        v = doc["verdict"]
-        if v["label"] == LABEL_III_LAMBDA:
-            print(f"III_lambda lambda={v['lambda']}")
-        else:
-            print(v["label"])
-        cert = v["certificate"]
+        print(verdict.describe())
+        cert = doc["verdict"]["certificate"]
         print(f"  mode: {cert['mode']}   C: {cert['C']}")
         print(f"  fired: {', '.join(cert['fired'])}")
         for w in cert["warnings"]:
@@ -251,16 +246,12 @@ def cmd_report(args) -> int:
            "seed": args.seed}
 
     def render(doc):
-        v = doc["analytic"]
-        label = v["label"]
-        if label == LABEL_III_LAMBDA:
-            label = f"III_lambda lambda={v['lambda']}"
-        print(f"analytic:  {label}")
+        print(f"analytic:  {verdict.describe()}")
         emp = doc["empirical"]
         lam = "" if emp["lambda"] is None else f" lambda~{emp['lambda']:.9g}"
         print(f"empirical: {emp['label']}{lam}")
         print(f"agreement: {str(doc['agreement']).lower()}")
-        for w in v["certificate"]["warnings"]:
+        for w in doc["analytic"]["certificate"]["warnings"]:
             print(f"  warning: {w}")
 
     _emit(doc, args.format, render)
@@ -377,7 +368,7 @@ def main(argv=None) -> int:
     except (SpecFileError, SpecError, ScalarError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except BlockTooLarge as exc:
+    except SearchBudgetExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except Exception as exc:  # pragma: no cover - defensive

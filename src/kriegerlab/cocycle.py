@@ -53,10 +53,6 @@ class SearchBudgetExceeded(RuntimeError):
     pass
 
 
-class BlockTooLarge(RuntimeError):
-    pass
-
-
 class OverlappingBlocks(SpecError):
     pass
 
@@ -141,16 +137,6 @@ def cocycle_ratio(block: Block, x: Sequence[int], y: Sequence[int]) -> Num:
         w = block.alphabets[k]
         num = num * w[y[k]] / w[x[k]]
     return num
-
-
-def log_cocycle(block: Block, x: Sequence[int], y: Sequence[int]) -> float:
-    """log D(x -> y) as a float; exactness lives in :func:`cocycle_ratio`."""
-    _check_words(block, x, y)
-    total = 0.0
-    for k in range(len(block)):
-        w = block.alphabets[k]
-        total += _log_of(w[y[k]]) - _log_of(w[x[k]])
-    return total
 
 
 def _log_of(w: Num) -> float:
@@ -439,20 +425,18 @@ def brute_force_block(vs: ValidatedScheme, block: Block, targets: Iterable[Num],
     Serves as the independence oracle for :func:`witness_search`: a
     direct product enumeration of every achievable value (deduplicated
     exactly, one back-pointer each), then a linear scan; words are
-    rebuilt for each target's closest value only.  Raises BlockTooLarge
-    beyond the state cap.  On rational blocks an exact target t = tn/td
-    is at distance |tn*S - A*td| / (td*S) from the key A over the block's
-    scale S; a float target, as in float arithmetic, at |t - A/S|.
+    rebuilt for each target's closest value only.  Raises
+    SearchBudgetExceeded beyond the state cap.  On rational blocks an
+    exact target t = tn/td is at distance |tn*S - A*td| / (td*S) from the
+    key A over the block's scale S; a float target, as in float
+    arithmetic, at |t - A/S|.
     """
     counter = [0]
     columns = dict(zip(block.coordinates, zip(block.alphabets, block.numerators)))
     per_coordinate = list(_by_alphabet(vs, block.coordinates, lambda n: _moves(*columns[n])))
     scale = math.prod(s for s, _ in per_coordinate)
     moves = [m for _, m in per_coordinate]
-    try:
-        levels = _levels(moves, state_cap, counter)
-    except SearchBudgetExceeded as exc:
-        raise BlockTooLarge(str(exc)) from None
+    levels = _levels(moves, state_cap, counter)
     exact = vs.mode == RATIONAL
     out = []
     for t in targets:
@@ -602,7 +586,7 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
             ratios.append(d)
             logs.append(math.log(d.numerator) - math.log(d.denominator))
         else:
-            # added left to right as log_cocycle does; sum() may compensate
+            # added left to right, in coordinate order; sum() may compensate
             total = 0.0
             for lg, a, b in zip(per_symbol, x, y):
                 total += lg[b] - lg[a]

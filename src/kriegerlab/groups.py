@@ -8,9 +8,10 @@ Two decision paths exist:
 
 * exact (rational points): numerators and denominators are refined by
   gcd, without factoring, into pairwise coprime integers > 1, whose logs
-  are linearly independent over the rationals.  a and b are
-  commensurable iff their exponent vectors over that basis are parallel.
-  This decides the question outright and the confidence is ``exact``.
+  are linearly independent over the rationals.  Each point is the list
+  of its integer exponents, one per basis element in basis order; a and
+  b are commensurable iff their lists are parallel.  This decides the
+  question outright and the confidence is ``exact``.
 * float path: continued-fraction convergents of log(a)/log(b) up to a
   denominator bound Q, each candidate verified by checking
   a**q = b**p to 1e-12 relative error.  A miss only certifies
@@ -131,46 +132,21 @@ def _coprime_basis(values) -> list:
     return [_primitive_root(b) for b in basis]
 
 
-def _valuation_vector(x: Fraction, basis) -> dict:
-    """Exponent of every basis element in x = prod b**e, as a dict b -> e:
-    parallel, and of equal content (gcd), exactly when the prime valuation
-    vectors are, since no basis element is a perfect power."""
-    vec = {}
-    for b in basis:
-        e = _divide_out(x.numerator, b)[1] - _divide_out(x.denominator, b)[1]
-        if e:
-            vec[b] = e
-    return vec
+def _exponents(x: Fraction, basis) -> list:
+    """Exponent of every basis element in x = prod b**e: parallel, and of
+    equal content (gcd), exactly when the prime valuation vectors are,
+    since no basis element is a perfect power."""
+    return [_divide_out(x.numerator, b)[1] - _divide_out(x.denominator, b)[1]
+            for b in basis]
 
 
-def _parallel_ratio(va: dict, vb: dict) -> Optional[Fraction]:
-    """t with va = t*vb when the vectors are parallel, else None."""
-    if set(va) != set(vb):
+def _parallel_ratio(va: list, vb: list) -> Optional[Fraction]:
+    """t with va = t*vb when the vectors are parallel, else None; vb != 0."""
+    i = next(i for i, e in enumerate(vb) if e)
+    n, d = va[i], vb[i]
+    if any(a * d != b * n for a, b in zip(va, vb)):
         return None
-    p0 = next(iter(vb))
-    t = Fraction(va[p0], vb[p0])
-    for p, e in vb.items():
-        if va[p] * t.denominator != e * t.numerator:
-            return None
-    return t
-
-
-def _vector_content(vec: dict) -> int:
-    g = 0
-    for e in vec.values():
-        g = math.gcd(g, abs(e))
-    return g
-
-
-def _vector_to_value(vec: dict) -> Fraction:
-    num = 1
-    den = 1
-    for p, e in vec.items():
-        if e > 0:
-            num *= p ** e
-        else:
-            den *= p ** (-e)
-    return Fraction(num, den)
+    return Fraction(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +201,7 @@ def commensurable(a: Num, b: Num) -> Optional[tuple]:
         return (1, 1)
     if is_exact(a) and is_exact(b):
         basis = _coprime_basis((a, b))
-        t = _parallel_ratio(_valuation_vector(a, basis), _valuation_vector(b, basis))
+        t = _parallel_ratio(_exponents(a, basis), _exponents(b, basis))
         if t is None:
             return None
         return (t.numerator, t.denominator)
@@ -279,7 +255,7 @@ def mult_group(points) -> GroupStructure:
 
 def _mult_group_exact(pts) -> GroupStructure:
     basis = _coprime_basis(pts)
-    vectors = [_valuation_vector(x, basis) for x in pts]
+    vectors = [_exponents(x, basis) for x in pts]
     base = vectors[0]
     for x, vec in zip(pts[1:], vectors[1:]):
         if _parallel_ratio(vec, base) is None:
@@ -288,17 +264,16 @@ def _mult_group_exact(pts) -> GroupStructure:
                 (f"log {format_scalar(x)} / log {format_scalar(pts[0])} is irrational "
                  "(prime valuation vectors not parallel)",))
     # every vector is an integer multiple of the primitive direction of base
-    content = _vector_content(base)
-    unit = {p: e // content for p, e in base.items()}
-    h = _vector_to_value(unit)
+    content = math.gcd(*base)
+    unit = [e // content for e in base]
+    h = Fraction(math.prod(b ** e for b, e in zip(basis, unit) if e > 0),
+                 math.prod(b ** -e for b, e in zip(basis, unit) if e < 0))
     if h > 1:
         h = 1 / h
-        unit = {p: -e for p, e in unit.items()}
-    p0 = next(iter(unit))
-    exponents = [vec[p0] // unit[p0] for vec in vectors]
-    g = 0
-    for k in exponents:
-        g = math.gcd(g, k)
+        unit = [-e for e in unit]
+    i = next(i for i, e in enumerate(unit) if e)
+    exponents = [vec[i] // unit[i] for vec in vectors]
+    g = math.gcd(*exponents)
     lam = h ** g
     for x, k in zip(pts, exponents):
         assert Fraction(x) == h ** k, "exponent reconstruction failed"
@@ -322,11 +297,9 @@ def _mult_group_float(pts) -> GroupStructure:
         evidence.append(f"log({x})/log({gen}) = {p}/{q}")
         gen = math.exp(math.log(gen) / q)
     exponents = [round(math.log(x) / math.log(gen)) for x in pts]
-    g = 0
-    for k in exponents:
-        g = math.gcd(g, k)
+    g = math.gcd(*exponents)
     lam = math.exp(g * math.log(gen))
-    for x, k0 in zip(pts, exponents):
+    for x in pts:
         k = round(math.log(x) / math.log(lam))
         if abs(x - lam ** k) > 1e-9:
             return GroupStructure(

@@ -188,7 +188,3 @@ def dump_spec(spec: Union[SchemeSpec, FactorSpec]) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-
-def save_spec(spec, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_spec(spec))

@@ -4,10 +4,10 @@ import pytest
 
 from kriegerlab import (
     CappedGeometric, Deviation, ExplicitWeights, GeometricTail, IndexClass,
-    Indices, Perturbed, SchemeSpec, TwoPoint, constant_series,
-    geometric_series, lambda_clusters, power_series, summability,
+    Indices, Perturbed, SchemeSpec, TwoPoint, lambda_clusters, summability,
     union_cluster_report, validate,
 )
+from kriegerlab.asymptotics import SeriesPart, Term
 
 from conftest import (
     EVENS, F, ODDS, capped_scheme, geometric_scheme, powers, single_class,
@@ -147,8 +147,13 @@ def test_cluster_points_are_the_weight_ratios_far_out(name):
 # ---------------------------------------------------------------------------
 # summability rule table
 
+def one_part(kind, indices=Indices(1, 1), **term):
+    """A series of one part: the term ``Term(kind, **term)`` over ``indices``."""
+    return (SeriesPart("series", indices, Term(kind, **term)),)
+
+
 def test_geometric_series_summable_with_exact_total():
-    v = summability(geometric_series(F(1), F(1, 2)))
+    v = summability(one_part("geometric", rho=F(1, 2), scale=F(1), exact=True))
     assert v.summable
     # oracle: partial sums of 2**-n converge to 1
     partial = sum(F(1, 2) ** n for n in range(1, 40))
@@ -157,7 +162,7 @@ def test_geometric_series_summable_with_exact_total():
 
 
 def test_harmonic_series_divergent_with_integral_test_oracle():
-    v = summability(power_series(F(1)))
+    v = summability(one_part("power", p=F(1), scale=1, exact=True))
     assert v.divergent
     # oracle: S_N >= log(N+1) at sampled N confirms the integral test
     for n_max in (10 ** 2, 10 ** 4):
@@ -166,7 +171,7 @@ def test_harmonic_series_divergent_with_integral_test_oracle():
 
 
 def test_p_series_two_summable_with_bounded_partial_sums():
-    v = summability(power_series(F(2)))
+    v = summability(one_part("power", p=F(2), scale=1, exact=True))
     assert v.summable
     # oracle: partial sums stay below 2
     s = sum(1.0 / n ** 2 for n in range(1, 10 ** 5))
@@ -174,20 +179,22 @@ def test_p_series_two_summable_with_bounded_partial_sums():
 
 
 def test_constant_series_divergent():
-    assert summability(constant_series(F(1, 3))).divergent
+    assert summability(one_part("const", value=F(1, 3))).divergent
 
 
 def test_geometric_series_over_progression_total():
     # sum of (1/2)**n over n = 1, 3, 5, ... equals (1/2)/(1 - 1/4) = 2/3
-    v = summability(geometric_series(F(1), F(1, 2), ODDS))
+    v = summability(one_part("geometric", ODDS, rho=F(1, 2), scale=F(1), exact=True))
     assert v.total == F(2, 3)
 
 
 def test_geometric_series_far_out_is_summable_without_forming_its_total():
     # (1/2)**(2**40) has 2**40 bits: the verdict stands, the total is left out
-    v = summability(geometric_series(F(1), F(1, 2), Indices(2 ** 39, 2 ** 40)))
+    v = summability(one_part("geometric", Indices(2 ** 39, 2 ** 40),
+                              rho=F(1, 2), scale=F(1), exact=True))
     assert v.summable and v.total is None
-    near = summability(geometric_series(F(1), F(1, 2), Indices(2 ** 16, 2 ** 16)))
+    near = summability(one_part("geometric", Indices(2 ** 16, 2 ** 16),
+                                 rho=F(1, 2), scale=F(1), exact=True))
     assert near.total == F(1, 2 ** 2 ** 16 - 1)
 
 
@@ -239,11 +246,11 @@ def test_divergent_corpus_exceeds_bound_numerically():
         n += 1
         s += n ** -0.5
     assert n <= 10 ** 6
-    assert summability(constant_series(F(1, 3))).divergent
-    assert summability(power_series(F(1, 2))).divergent
+    assert summability(one_part("const", value=F(1, 3))).divergent
+    assert summability(one_part("power", p=F(1, 2), scale=1, exact=True)).divergent
 
 
 def test_summable_partial_sums_stay_within_closed_form():
-    v = summability(geometric_series(F(1), F(1, 2)))
+    v = summability(one_part("geometric", rho=F(1, 2), scale=F(1), exact=True))
     partial = sum(F(1, 2) ** n for n in range(1, 60))
     assert partial <= v.total

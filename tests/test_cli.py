@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -181,6 +182,17 @@ def test_oracle_distances(capsys):
     lines = out.splitlines()
     assert "min distance 1/12" in lines[0]
     assert "min distance 0" in lines[1]
+
+
+def test_oracle_beyond_its_state_cap_is_inconclusive(monkeypatch, capsys):
+    import kriegerlab.cli as cli_mod
+    from kriegerlab import brute_force_block
+
+    monkeypatch.setattr(cli_mod, "brute_force_block",
+                        functools.partial(brute_force_block, state_cap=10 ** 3))
+    code, out, err = run_cli(capsys, "oracle", str(SPEC_DIR / "geom_half.spec"),
+                             "--length", "8", "--delta", "1/1000000000", "--targets", "1/2")
+    assert (code, out, err) == (2, "", "inconclusive: enumeration exceeded the state cap of 1000\n")
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +438,10 @@ def test_report_with_half_block_values_below_the_smallest_double(tmp_path, capsy
 # float underflow far out
 
 def _float_spec(tmp_path, template):
-    from kriegerlab import IndexClass, Indices, SchemeSpec, save_spec
+    from kriegerlab import IndexClass, Indices, SchemeSpec, dump_spec
     path = tmp_path / "float.spec"
-    save_spec(SchemeSpec("float", (), (IndexClass(Indices(1, 1), template),)), path)
+    path.write_text(dump_spec(SchemeSpec("float", (), (IndexClass(Indices(1, 1), template),))),
+                    encoding="utf-8")
     return str(path)
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from kriegerlab import (
     CappedGeometric, Deviation, ExplicitWeights, GeometricTail, IndexClass,
     Indices, Perturbed, SchemeSpec, TwoPoint, block_for, brute_force_block,
-    classify, normalize, replay, save_spec, validate, witness_search,
+    classify, dump_spec, normalize, replay, validate, witness_search,
 )
 from kriegerlab import test_type_I as type_I_series
 from kriegerlab import test_type_II1 as type_II1_series
@@ -272,7 +272,8 @@ def _commands(path, start, out):
 def test_every_command_exits_0_1_or_2_on_tiny_weights_far_out(spec, start):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tiny.spec")
-        save_spec(spec, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dump_spec(spec))
         for argv in _commands(path, start, os.path.join(tmp, "out.factor")):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()) as err:

@@ -1,4 +1,5 @@
-"""Pinned ``--format json`` output of every command on every shipped spec.
+"""Pinned ``--format json`` output of every command on every shipped spec,
+and the text output of classify and report.
 
 Byte-identical JSON is part of the interface: a change that alters the
 printed document of any command, even where its verdict stands, changes
@@ -93,6 +94,46 @@ GOLDEN = {
 }
 
 
+# the text renders of classify and report, same flags as their JSON above
+TEXT_GOLDEN = {
+    "capped_half.spec": {
+        "classify": (0, "ac18fc6c5e4fb9234f7049ff8ac9dbd76bbd9d20f24bfb66b5624b3028e86ca9"),
+        "report": (0, "2dbb2e7eb98293c602d9769c14f3a9b38210f93a1d9ded13fef7a70910c057fe"),
+    },
+    "geom_half.spec": {
+        "classify": (0, "da3f78b53e143b95da7dac59b5a3652517ade2a0b51a6020491905258be21a98"),
+        "report": (0, "8703cc4c40fa48adc11077fbeb3279766dfcdb7efbe8f875164a0077c90f2c61"),
+    },
+    "interleave_2_3.spec": {
+        "classify": (0, "cd3e37f3753c129d96328cc3846f1ead410ed2c4ae558ed339a01d499b1bc9b9"),
+        "report": (0, "415f10d2f481f53bea78b6079c9dc5ef7548633a1471bd26d801e0afa949c1ae"),
+    },
+    "lambda_zero_one.spec": {
+        "classify": (0, "228e0994d9ff3f71d131ed2f6607e74835896c84a3c5228a836531a673762b72"),
+        "report": (0, "eaef15391c024c8ba36b03c7ed65c3c38c7b2f89a22cf7f307194c670ffd2ae2"),
+    },
+    "powers_half.factor": {
+        "classify": (0, "38e792fd2c962134e911c15ff6fe9679dabba497f8723d51243f1e9bae45be86"),
+        "report": (0, "2dbb2e7eb98293c602d9769c14f3a9b38210f93a1d9ded13fef7a70910c057fe"),
+    },
+    "powers_half.spec": {
+        "classify": (0, "38e792fd2c962134e911c15ff6fe9679dabba497f8723d51243f1e9bae45be86"),
+        "report": (0, "2dbb2e7eb98293c602d9769c14f3a9b38210f93a1d9ded13fef7a70910c057fe"),
+    },
+    "two_inf.spec": {
+        "classify": (0, "1919424422b6d10cdce8da3d3e245287182778f3f673998dc4482b1ee1b12c13"),
+        "report": (0, "9c3dc057ee8c3b85e166ccb109b0ac0085bda4c8814199446ac5729c5006e5c8"),
+    },
+    "type_one.spec": {
+        "classify": (0, "88acc936d982720717044cce6bf0c4ea870175f2a9ab5ab63a7176f538cc050b"),
+        "report": (0, "4e7ea7db59d1afdd789e0e7936dcb0b7ebf5e49e4cd49d78ed8e5e0d7007aa5b"),
+    },
+    "uniform.spec": {
+        "classify": (0, "606b28e96a33d7d885aaa05a1a7c0a5276a242d62547b859b765677bb737f217"),
+        "report": (0, "a3c27b5da6e8812323a17bf3d4491e027f5632faa1129dd870b0b01a8894d7a9"),
+    },
+}
+
 # sampling far out at another seed: type_one's and two_inf's weights have
 # about 3000 bits there, and geom_half's truncated tail keeps retained < 1
 WIDE_SAMPLE_ARGS = ["--samples", "200", "--start", "3000", "--seed", "7"]
@@ -117,6 +158,17 @@ def test_json_output_pinned(monkeypatch, capsys, spec, command):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == GOLDEN[spec][command]
 
+
+@pytest.mark.parametrize("spec, command", [
+    (spec, command) for spec, digests in TEXT_GOLDEN.items() for command in digests])
+def test_text_output_pinned(monkeypatch, capsys, spec, command):
+    monkeypatch.chdir(SPEC_DIR)
+    argv = [command, spec, *ARGS[command]]
+    if (spec, command) in START:
+        argv += ["--start", START[spec, command]]
+    code = main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == TEXT_GOLDEN[spec][command]
 
 @pytest.mark.parametrize("spec", sorted(WIDE_SAMPLE))
 def test_wide_weight_samples_pinned(monkeypatch, capsys, spec):

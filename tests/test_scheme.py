@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from kriegerlab import (
     SchemeSpec, SpecError, TwoPoint, classify, factor_to_scheme, normalize,
     scheme_to_factor, truncate_alphabet, validate,
 )
+from kriegerlab.cli import main
 from kriegerlab.exact import as_mode
 from kriegerlab.scheme import ModeError, _div
 
@@ -398,3 +402,65 @@ def test_alphabet_key_is_shared_by_equal_alphabets_only():
         Perturbed((F(1, 2), F(1, 4), F(1, 4)), Deviation("power", exponent=1.0)),
         mode="float"))
     assert float_vs.alphabet_key(5) == ("coordinate", 5)
+
+
+# ---------------------------------------------------------------------------
+# the explicit deviation family
+
+EXPLICIT_DEVIATION = {"family": "explicit", "values": [0.3, 0.1, 0.7]}
+
+
+def _exp_two_point_doc(mode, lam):
+    return {"mode": mode, "prefix": [],
+            "classes": [{"indices": {"start": 1, "step": 1}, "template": {
+                "kind": "two_point", "lambda": lam}}]}
+
+
+def test_explicit_deviation_survives_convert_both_ways(tmp_path, capsys):
+    src = tmp_path / "exp.spec"
+    src.write_text(json.dumps(_exp_two_point_doc("float", {
+        "form": "exp", "value": 0.5, "deviation": EXPLICIT_DEVIATION})), encoding="utf-8")
+    factor = tmp_path / "exp.factor"
+    assert main(["convert", str(src), "--from", "scheme", "--out", str(factor)]) == 0
+    capsys.readouterr()
+    assert main(["convert", str(factor), "--from", "factor"]) == 0
+    back = json.loads(capsys.readouterr().out)
+    for doc in (json.loads(factor.read_text(encoding="utf-8")), back):
+        assert doc["classes"][0]["template"]["lambda"]["deviation"] == EXPLICIT_DEVIATION
+    assert back["data"] == "scheme"
+
+
+def test_explicit_deviation_classifies_by_its_limit(tmp_path, capsys):
+    src = tmp_path / "exp.spec"
+    src.write_text(json.dumps(_exp_two_point_doc("float", {
+        "form": "exp", "value": 0.5, "deviation": EXPLICIT_DEVIATION})), encoding="utf-8")
+    assert main(["classify", str(src), "--format", "json"]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert (verdict["label"], verdict["lambda"]) == ("III_lambda", 0.5)
+    cert = verdict["certificate"]
+    assert "two-point-cyclic-group" in cert["fired"]
+    groups = cert["evidence"]["two_point"]["lambda_report"]["groups"]
+    assert [g["deviations"] for g in groups] == [["explicit(3 values)"]]
+
+
+def test_explicit_deviation_is_not_a_weight(tmp_path, capsys):
+    # eps_n = 0 past the listed values would zero a weight
+    src = tmp_path / "weight.spec"
+    src.write_text(json.dumps(_exp_two_point_doc("rational", {
+        "form": "weight", "deviation": {"family": "explicit", "values": ["1/3", "1/4"]}})),
+        encoding="utf-8")
+    assert main(["classify", str(src)]) == 1
+    assert capsys.readouterr().err == (
+        "error: two-point weight form needs a strictly positive deviation "
+        "(eps_n = 0 would zero a weight)\n")
+
+
+def test_explicit_deviation_is_read_by_position_in_the_class():
+    dev = Deviation("explicit", values=(0.3, 0.1, 0.7))
+    vs = validate(SchemeSpec("float", (), (
+        IndexClass(ODDS, TwoPoint("const", 0.5)),
+        IndexClass(EVENS, TwoPoint("exp", 0.5, dev)))))
+    # coordinates 2, 4, 6, 8 are positions 0 to 3 of the even class
+    for n, eps in ((2, 0.3), (4, 0.1), (6, 0.7), (8, 0.0)):
+        w0, w1 = vs.weights_at(n)
+        assert w1 / w0 == pytest.approx(0.5 * math.exp(-eps), rel=1e-15)
