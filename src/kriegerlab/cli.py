@@ -2,7 +2,8 @@
 
 Commands: classify, witness, sample, oracle, report, convert.  Exit
 codes: 0 definite result, 1 input error, 2 inconclusive or
-nothing-in-scope, 3 internal error.
+nothing-in-scope, 3 internal error, 141 standard output closed before
+the output was written (as by ``| head``), with nothing on stderr.
 
 All randomness flows from one ``--seed`` flag; without it a fixed
 documented default is used (the 64-bit integer spelled by the ASCII
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED_STDOUT = 141         # a shell's status for a process that SIGPIPE ended
 
 
 def _fraction_flag(text: str) -> Fraction:
@@ -364,7 +366,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: drop the stream, so that exit flushes nothing
+        sys.stdout = None
+        return EXIT_CLOSED_STDOUT
     except (SpecFileError, SpecError, ScalarError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -27,6 +27,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exact import RATIONAL, Num, format_scalar, is_exact
+from .groups import exponent_moves, grow, split_words, window_hits
 from .scheme import SpecError, ValidatedScheme, truncate_alphabet
 
 DEFAULT_STATE_CAP = 10 ** 8
@@ -189,7 +190,8 @@ def replay_witness(vs: ValidatedScheme, w: Witness) -> Num:
 # product S of its coordinates' scales: D = A / S.  For one block S is
 # fixed, so distinct keys are exactly the distinct values, and every
 # comparison with a target is one in integers.  Float schemes keep float
-# values, with scale 1.
+# values, with scale 1.  Where every ratio is a power g**d of one g, the
+# witness search runs on exponents: a level is an int mask of them.
 
 def _ratio_moves(weights) -> list:
     """Distinct ratios w[j]/w[i], increasing, each with its first (i, j).
@@ -219,13 +221,12 @@ def _moves(weights, numerators) -> tuple:
     if numerators is None:
         return 1, _ratio_moves(weights)
     first = {}
-    for i, w in enumerate(weights):
-        first.setdefault(w, i)
-    nums = [numerators[1][i] for i in first.values()]
-    scale = math.lcm(*nums)
+    for i, n in enumerate(numerators[1]):
+        first.setdefault(n, i)
+    scale = math.lcm(*first)
     out = {}
-    for ni, i in zip(nums, first.values()):
-        for nj, j in zip(nums, first.values()):
+    for ni, i in first.items():
+        for nj, j in first.items():
             out.setdefault(nj * (scale // ni), (i, j))
     return scale, sorted(out.items())
 
@@ -238,13 +239,11 @@ def _charge(counter: list, states: int, state_cap: int):
             f"enumeration exceeded the state cap of {state_cap}")
 
 
-def _extend(values: dict, ratios: list, state_cap: int, counter: list) -> dict:
+def _extend(values: dict, ratios: list) -> dict:
     """Extend achievable values by one coordinate's ``ratios`` (see :func:`_moves`).
 
-    Maps each new value to the first value of ``values`` that reached it;
-    ``counter`` accumulates enumerated states against the cap.
+    Maps each new value to the first value of ``values`` that reached it.
     """
-    _charge(counter, len(values) * len(ratios), state_cap)
     nxt = {}
     for value in values:
         for r in ratios:
@@ -260,25 +259,28 @@ _ROOT = ({1: None},)
 
 def _levels(coordinate_moves, state_cap: int, counter: list, levels=_ROOT,
             shared=((), ())) -> list:
-    """``levels`` extended by one :func:`_extend` dict per coordinate.
+    """``levels`` extended by one :func:`_extend` dict per coordinate, or
+    on the exponent path one ``groups.grow`` mask of exponents.
 
     Level k holds the values achievable on the first k coordinates, each
     mapped to its parent on level k - 1.  ``shared`` holds the (levels,
     coordinate moves) of another enumeration from the same root: where
     level k - 1 is its level k - 1 and coordinate k carries the very same
     move list, level k is its level k, taken instead of rebuilt.  Its
-    states are counted all the same, so a cap trips at the same step, with
-    the same message, as on a rebuild.
+    states, level size times move count, are counted all the same, so a
+    cap trips at the same step, with the same message, as on a rebuild.
     """
     levels = list(levels)
     other, other_moves = shared
     for moves in coordinate_moves:
-        k = len(levels)
-        if k < len(other) and levels[-1] is other[k - 1] and moves is other_moves[k - 1]:
-            _charge(counter, len(levels[-1]) * len(moves), state_cap)
+        k, last = len(levels), levels[-1]
+        _charge(counter, (len(last) if type(last) is dict else last.bit_count()) * len(moves),
+                state_cap)
+        if k < len(other) and last is other[k - 1] and moves is other_moves[k - 1]:
             levels.append(other[k])
         else:
-            levels.append(_extend(levels[-1], [r for r, _ in moves], state_cap, counter))
+            levels.append(_extend(last, [r for r, _ in moves]) if type(last) is dict
+                          else grow(last, moves))
     return levels
 
 
@@ -298,6 +300,45 @@ def _words(levels: list, coordinate_moves, value) -> tuple:
         y.append(j)
         value = parent
     return tuple(reversed(x)), tuple(reversed(y))
+
+
+def _exponent_search(vs: ValidatedScheme, coords: range, delta: Num, state_cap: int,
+                     truncated: list, tn: int, td: int, en: int, ed: int) -> tuple:
+    """(True, (length, x, y, value) or None) as :func:`witness_search` finds
+    it, while every move is an integer power g**d of one rational g > 1,
+    else (False, None) at the first alphabet whose moves are not.
+
+    Levels are masks of exponents, counted in the same order and size as
+    the integer keys.  A length hits where the block's exponents meet the
+    window within eps = en/ed of target = tn/td; the pair and its words
+    are the ones :func:`_closest` and the back-pointers give.
+    ``truncated`` receives each coordinate's truncated alphabet.
+    """
+    g = None
+
+    def alphabet_moves(n):
+        nonlocal g
+        alphabet = truncate_alphabet(vs, n, delta)
+        g, moves = exponent_moves(alphabet.numerators[1], g)
+        return alphabet, moves
+    counter, moves, left, right, full, low, window = [0], [], (1,), (1,), 1, 0, None
+    for length, (alphabet, m) in enumerate(_by_alphabet(vs, coords, alphabet_moves), 1):
+        truncated.append(alphabet)
+        if m is None:
+            return False, None
+        moves.append(m)
+        mid = (length + 1) // 2
+        if length % 2:
+            left = _levels(moves[mid - 1:mid], state_cap, counter, left)
+            right = _levels(moves[mid:], state_cap, counter, (1,), (left, moves))
+        else:
+            right = _levels(moves[-1:], state_cap, counter, right, (left, moves))
+        full, low = grow(full, m), low + m[0][0]
+        window, near = window_hits(g, window, full, low, tn, td, en, ed)
+        if near:
+            e, x, y = split_words(near, moves[:mid], moves[mid:], left[-1], right[-1])
+            return True, (length, x, y, g ** e if e else Fraction(1))
+    return True, None
 
 
 def _fresh(level: dict, parent: dict, s: int) -> list:
@@ -362,21 +403,32 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     coordinate's identity move pairs to a value of the length before,
     which missed.  Float schemes pair each left value with its neighbours
     among the sorted right values, as rounding makes a window inexact.
+
+    A rational search runs on exponents (:func:`_exponent_search`) while
+    every ratio is a power of one generator; at the first alphabet whose
+    ratios are not, it starts over on integer keys, with a fresh count and
+    the alphabets truncated so far.
     """
     if not 0 < target < math.inf:
         raise SpecError("target must be positive and finite")
     if not (0 < eps < target):
         raise SpecError("eps must lie in (0, target)")
     exact = vs.mode == RATIONAL
+    coords = range(start + 1, start + max_block + 1)
+    truncated = []      # per coordinate the exponent path reached, its alphabet
     if exact:
         tn, td = Fraction(target).as_integer_ratio()
         en, ed = Fraction(eps).as_integer_ratio()
+        done, found = _exponent_search(vs, coords, delta, state_cap, truncated, tn, td, en, ed)
+        if done:
+            return found and Witness(tuple(coords[:found[0]]), *found[1:], target, eps, delta)
     counter = [0]
 
     def alphabet_moves(n):
-        t = truncate_alphabet(vs, n, delta)
+        k = n - start - 1
+        t = truncated[k] if k < len(truncated) else truncate_alphabet(vs, n, delta)
         return _moves(t.weights, t.numerators)
-    per_alphabet = _by_alphabet(vs, range(start + 1, start + max_block + 1), alphabet_moves)
+    per_alphabet = _by_alphabet(vs, coords, alphabet_moves)
     moves = []      # per coordinate; one list object per alphabet
     scale = 1
     left = _ROOT

@@ -253,16 +253,21 @@ def mult_group(points) -> GroupStructure:
     return _mult_group_float([float(x) for x in pts])
 
 
-def _mult_group_exact(pts) -> GroupStructure:
+def _root(pts) -> tuple:
+    """(h, k): h in (0,1) and integers k with pts[i] == h ** k[i], for
+    rationals other than 1 that generate a cyclic group, else (None, i)
+    for the first point i not commensurable with pts[0].
+
+    h is no perfect power: its exponent vector is the primitive direction
+    of pts[0]'s, so every rational power of h that is rational is an
+    integer power of it.
+    """
     basis = _coprime_basis(pts)
     vectors = [_exponents(x, basis) for x in pts]
     base = vectors[0]
-    for x, vec in zip(pts[1:], vectors[1:]):
+    for i, vec in enumerate(vectors):
         if _parallel_ratio(vec, base) is None:
-            return GroupStructure(
-                DENSE, None, EXACT, None,
-                (f"log {format_scalar(x)} / log {format_scalar(pts[0])} is irrational "
-                 "(prime valuation vectors not parallel)",))
+            return None, i
     # every vector is an integer multiple of the primitive direction of base
     content = math.gcd(*base)
     unit = [e // content for e in base]
@@ -272,7 +277,16 @@ def _mult_group_exact(pts) -> GroupStructure:
         h = 1 / h
         unit = [-e for e in unit]
     i = next(i for i, e in enumerate(unit) if e)
-    exponents = [vec[i] // unit[i] for vec in vectors]
+    return h, [vec[i] // unit[i] for vec in vectors]
+
+
+def _mult_group_exact(pts) -> GroupStructure:
+    h, exponents = _root(pts)
+    if h is None:
+        return GroupStructure(
+            DENSE, None, EXACT, None,
+            (f"log {format_scalar(pts[exponents])} / log {format_scalar(pts[0])} is irrational "
+             "(prime valuation vectors not parallel)",))
     g = math.gcd(*exponents)
     lam = h ** g
     for x, k in zip(pts, exponents):
@@ -307,3 +321,158 @@ def _mult_group_float(pts) -> GroupStructure:
                 (f"generator verification failed for {x}",))
     return GroupStructure(CYCLIC, lam, BOUNDED, MAX_DENOMINATOR,
                           tuple(evidence + [f"exponents {tuple(exponents)}, gcd {g}"]))
+
+
+# ---------------------------------------------------------------------------
+# exponents of one generator g > 1 (the witness search on rank-1 schemes);
+# a set of exponents is an int mask whose bit n stands for exponent low + n
+
+def _log_ratio(n: int, d: int) -> float:
+    """log(n/d) for positive integers, without cancellation near n = d."""
+    return math.log1p((n - d) / d) if d < 2 * n and n < 2 * d else math.log(n) - math.log(d)
+
+
+def _power_sign(p: int, q: int, k: int, n: int, d: int) -> int:
+    """The sign of (p/q)**k - n/d, for positive integers."""
+    x, y = (p ** k * d, q ** k * n) if k >= 0 else (q ** -k * d, p ** -k * n)
+    return (x > y) - (x < y)
+
+
+def exponent_moves(nums, g=None) -> tuple:
+    """(g, moves) for an alphabet's integer numerators nums: its moves
+    w[j]/w[i] as exponents d of the rational g > 1, ascending, each with
+    its lexicographically first (i, j), or (g, None) where a ratio is no
+    integer power of g.
+
+    A g of None is taken from the first two distinct nums: their ratio,
+    oriented above 1, or its :func:`_root` where numerator and denominator
+    are both perfect powers; it stays None on one distinct weight.  Such
+    a g is no perfect power, so a ratio in a cyclic group with it is an
+    integer power of it.  Each exponent of consecutive distinct nums is a
+    rounded logarithm checked in integers.  Row i of the differences is
+    the mask of the exponents shifted by -a[i]; its bits not set before
+    are the moves it is first to reach.
+    """
+    first = {}
+    for i, n in enumerate(nums):
+        first.setdefault(n, i)
+    nums = list(first)
+    if g is None and len(nums) > 1:
+        g = Fraction(max(nums[:2]), min(nums[:2]))
+        p, q = g.as_integer_ratio()
+        if _primitive_root(p) != p and (q == 1 or _primitive_root(q) != q):
+            g = 1 / _root([g])[0]
+    a = [0]
+    if g is not None:
+        p, q = g.as_integer_ratio()
+        lg = _log_ratio(p, q)
+        for x, y in zip(nums, nums[1:]):
+            r = _log_ratio(y, x)
+            # g too near 1 for a double, or a k off the bound p**|k| <= max(x, y)
+            if not lg or abs(r) > (math.log(max(x, y)) / math.log(p) + 1) * lg:
+                return g, None
+            k = round(r / lg)
+            if _power_sign(p, q, k, y, x):
+                return g, None
+            a.append(a[-1] + k)
+    low, top = min(a), max(a)
+    row = sum(1 << (e - low) for e in a)
+    symbol = dict(zip(a, first.values()))
+    seen, moves = 0, []
+    for e, i in symbol.items():
+        new = row << (top - e) & ~seen          # bit d + top - low for d = a[j] - e
+        seen |= new
+        while new:
+            d = (new & -new).bit_length() - 1 - top + low
+            moves.append((d, (i, symbol[e + d])))
+            new &= new - 1
+    return g, sorted(moves)
+
+
+def window_hits(g, window, full: int, low: int, tn: int, td: int, en: int, ed: int) -> tuple:
+    """(window, near): the exponents e of the mask ``full`` with |g**e -
+    tn/td| < en/ed that lie nearest below and above the target, the
+    least gap first, with both on a tie; g > 1, or None where full is {0}.
+
+    ``window`` caches (g, exact, a, c, b) from the call before: g**e lies
+    in the window exactly for a < e <= b, and at most at the target for
+    e <= c.  Each bound is a float logarithm, clamped to the exponents
+    within 64 of full's range, then corrected by exact comparisons of
+    powers g**k in there only; bounds inside are final.
+    """
+    high = low + full.bit_length() - 1
+    if window is None or window[0] is not g or not window[1]:
+        p, q = (g or Fraction(2)).as_integer_ratio()
+        lg, lo_e, hi_e = _log_ratio(p, q), low - 64, high + 64
+        floors = []
+        for n, d, strict in ((tn * ed - en * td, td * ed, 0), (tn, td, 0),
+                             (tn * ed + en * td, td * ed, 1)):
+            e = math.floor(min(max(_log_ratio(n, d) / lg, lo_e - 1), hi_e + 1))
+            while e >= lo_e and _power_sign(p, q, e, n, d) + strict > 0:
+                e -= 1
+            while e <= hi_e and _power_sign(p, q, e + 1, n, d) + strict <= 0:
+                e += 1
+            floors.append(e)
+        window = (g, all(lo_e - 1 < e < hi_e + 1 for e in floors), *floors)
+    _, _, a, c, b = window
+    hits = between(full, low, a + 1, b)
+    below = between(hits, low, low, c)
+    above = hits ^ below
+    near = [low + h.bit_length() - 1 for h in (below, above & -above) if h]
+    if len(near) == 2:
+        gaps = [abs(g ** e - Fraction(tn, td)) for e in near]
+        near = [e for e, gap in zip(near, gaps) if gap == min(gaps)]
+    return window, near
+
+
+def grow(mask: int, moves: list) -> int:
+    """The exponents of ``mask`` plus each move of ``moves``; the least
+    exponent grows by the least move."""
+    out, low = 0, moves[0][0]
+    for d, _ in moves:
+        out |= mask << (d - low)
+    return out
+
+
+def between(mask: int, low: int, a: int, b: int) -> int:
+    """The bits of ``mask``, whose least exponent is low, at exponents a..b."""
+    a, b = max(a, low) - low, min(b - low, mask.bit_length())
+    return mask >> a << a & ((1 << (b + 1)) - 1) if a <= b else 0
+
+
+def exponent_word(coordinate_moves, e: int) -> tuple:
+    """(x, y): the lexicographically least sequence of moves reaching e.
+
+    Each coordinate takes its least move from which the coordinates after
+    it still reach e, read off the masks of their sums.
+    """
+    suffixes = [(1, 0)]
+    for moves in reversed(coordinate_moves[1:]):
+        mask, low = suffixes[-1]
+        suffixes.append((grow(mask, moves), low + moves[0][0]))
+    x, y = [], []
+    for moves, (rest, low) in zip(coordinate_moves, reversed(suffixes)):
+        d, (i, j) = next(m for m in moves if e - m[0] >= low and rest >> (e - m[0] - low) & 1)
+        x.append(i)
+        y.append(j)
+        e -= d
+    return tuple(x), tuple(y)
+
+
+def split_words(near, left_moves, right_moves, left: int, right: int) -> tuple:
+    """(e, x, y): of the exponents ``near`` the one with the least exponent
+    ea of the mask ``left`` such that e - ea is one of ``right``, the least
+    e on a tie, and the words of ea and e - ea on the two sides."""
+    left_low = sum(m[0][0] for m in left_moves)
+    right_low = sum(m[0][0] for m in right_moves)
+
+    def least(e, rest):
+        while True:
+            ea = left_low + (rest & -rest).bit_length() - 1
+            if e - ea >= right_low and right >> (e - ea - right_low) & 1:
+                return ea
+            rest &= rest - 1
+    ea, e = min((least(e, left), e) for e in near)
+    lx, ly = exponent_word(left_moves, ea)
+    rx, ry = exponent_word(right_moves, e - ea)
+    return e, lx + rx, ly + ry

@@ -545,10 +545,18 @@ class CappedGeometric:
 
     def weights_at(self, n: int, pos: int, mode: str) -> tuple:
         size = self.alphabet_size(pos)
-        total = self._norm(size)
+        k = min(size - 1, self.cap)
+        if mode == RATIONAL and is_exact(self.ratio):
+            # with ratio = a/b, weight i <= k is a**i * b**(k-i) / T over
+            # T = sum_i a**i * b**(k-i) + (size - k - 1) * a**k
+            a, b = self.ratio.as_integer_ratio()
+            nums = [a ** i * b ** (k - i) for i in range(k + 1)]
+            total = sum(nums) + (size - k - 1) * nums[-1]
+            head = [Fraction(m, total) for m in nums]
+        else:
+            total = self._norm(size)
+            head = [as_mode(_div(self.ratio ** i, total), mode) for i in range(k + 1)]
         # symbols from cap on share the weight ratio**cap / total
-        head = [as_mode(_div(self.ratio ** i, total), mode)
-                for i in range(min(size, self.cap + 1))]
         return tuple(head) + (head[-1],) * (size - len(head))
 
     def ratio_limits(self) -> tuple:
@@ -587,6 +595,9 @@ def _div(a, b) -> Num:
 
 
 def _two_point_weights(lam: Num) -> tuple:
+    if is_exact(lam):
+        n, d = lam.as_integer_ratio()           # 1/(1 + lam) = d/(n + d), from integers
+        return Fraction(d, n + d), Fraction(n, n + d)
     return (_div(1, 1 + lam), _div(lam, 1 + lam))
 
 

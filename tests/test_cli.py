@@ -297,6 +297,22 @@ def test_installed_entry_point_runs():
     assert proc.stdout.splitlines()[0] == "II_1"
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", str(SPEC_DIR / "powers_half.spec")],
+    ["report", str(SPEC_DIR / "interleave_2_3.spec"), "--format", "json"],
+])
+def test_closed_stdout_exits_141_and_writes_no_error(argv):
+    # the reader closes before the program starts to write, as `| head`
+    # may: that ends the command with 141 and nothing on stderr, not with
+    # an internal error
+    proc = subprocess.Popen([sys.executable, "-m", "kriegerlab.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), stderr) == (141, b"")
+
+
 def test_agreement_rejects_lambda_beyond_tolerance():
     from kriegerlab.cli import _labels_agree
     from kriegerlab import classify

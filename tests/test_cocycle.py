@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import (
-    CappedGeometric, ExplicitWeights, IndexClass, Indices, InsufficientSamples,
+    CappedGeometric, ExplicitWeights, GeometricTail, IndexClass, Indices, InsufficientSamples,
     OverlappingBlocks, SchemeSpec, SearchBudgetExceeded, SpecError, SymbolOutOfRange, TwoPoint,
     Witness, WordLengthMismatch,
     block_for, brute_force_block, cocycle_ratio, compose_witnesses, estimate_ratio_set,
@@ -331,7 +331,21 @@ RATIONAL_SCHEMES = {
     "geometric_2_5": lambda: geometric_scheme(F(2, 5)),
     "capped_1_3": lambda: capped_scheme(F(1, 3), 2),
     "type_one": type_one_spec,
+    # ratio groups of rank 0 or 1, one of them generated by 2 but met as 1/4,
+    # take the exponent path; rank 1 over a prefix and then rank 2 leaves
+    # it for integer keys at coordinate 4
+    "tail_19_20": lambda: geometric_scheme(F(19, 20)),      # 135 symbols
+    "uniform": uniform_two_point,                            # every ratio 1
+    "prefix_rank_one": lambda: SchemeSpec("rational", (
+        (F(4, 7), F(2, 7), F(1, 7)), (F(1, 2), F(1, 2)), (F(8, 9), F(1, 9))), (
+        IndexClass(Indices(4, 1), TwoPoint("const", F(1, 4))),)),
+    "quarter_then_half": lambda: interleave(F(1, 4), F(1, 2)),
+    "rank_one_then_two": lambda: SchemeSpec("rational", (
+        (F(2, 3), F(1, 3)), (F(4, 7), F(2, 7), F(1, 7)), (F(2, 3), F(1, 3))), (
+        IndexClass(Indices(4, 1), TwoPoint("const", F(1, 3))),)),
 }
+# many symbols per coordinate: searched over short blocks only
+WIDE_SCHEMES = {"tail_19_20": 3}
 
 
 class _Tally:
@@ -355,9 +369,10 @@ def search_inputs(draw):
     random or next to a value that a random word pair achieves, and caps
     either fixed or at the rebuilding reference's counted total or one
     below it, where a cap must trip on the very last level."""
-    vs = validate(normalize_spec(RATIONAL_SCHEMES[draw(st.sampled_from(sorted(RATIONAL_SCHEMES)))]()))
+    name = draw(st.sampled_from(sorted(RATIONAL_SCHEMES)))
+    vs = validate(normalize_spec(RATIONAL_SCHEMES[name]()))
     start = draw(st.integers(0, 12))
-    max_block = draw(st.integers(1, 9))
+    max_block = draw(st.integers(1, WIDE_SCHEMES.get(name, 9)))
     if draw(st.booleans()):
         target = draw(st.fractions(min_value=F(1, 50), max_value=5, max_denominator=10 ** 4))
     else:
@@ -397,13 +412,14 @@ def test_eps_at_oracle_distance_finds_nothing(name):
     # finds no witness on that block or on any shorter one
     vs = validate(normalize_spec(RATIONAL_SCHEMES[name]()))
     target = F(1000, 1013)
-    dist = brute_force_block(vs, block_for(vs, 3, 4), [target])[0]["distance"]
-    assert witness_search(vs, target, dist, start=3, max_block=4) is None
-    assert _fraction_search(vs, target, dist, start=3, max_block=4) is None
+    length = min(4, WIDE_SCHEMES.get(name, 4))
+    dist = brute_force_block(vs, block_for(vs, 3, length), [target])[0]["distance"]
+    assert witness_search(vs, target, dist, start=3, max_block=length) is None
+    assert _fraction_search(vs, target, dist, start=3, max_block=length) is None
     above = dist + F(1, 10 ** 15)
-    w = witness_search(vs, target, above, start=3, max_block=4)
+    w = witness_search(vs, target, above, start=3, max_block=length)
     assert w is not None
-    assert w == _fraction_search(vs, target, above, start=3, max_block=4)
+    assert w == _fraction_search(vs, target, above, start=3, max_block=length)
 
 
 def test_search_budget_message_matches_reference():
@@ -415,23 +431,103 @@ def test_search_budget_message_matches_reference():
     assert str(caught.value) == "enumeration exceeded the state cap of 500"
 
 
-def test_shared_levels_are_counted_but_not_enumerated(powers_half, monkeypatch):
-    # a miss through 46 coordinates of one alphabet: every right-half
-    # level is a left-half level, so most of the counted states are shared
+def _raise(*args):
+    raise AssertionError("integer keys on the exponent path")
+
+
+def test_shared_levels_are_counted_but_not_enumerated(monkeypatch):
+    # a miss through 12 coordinates of one alphabet whose ratios generate a
+    # group of rank 2, so on integer keys: every right-half level is a
+    # left-half level, so most of the counted states are shared
+    vs = validate(normalize_spec(RATIONAL_SCHEMES["explicit_7532"]()))
     enumerated = []
     extend = cocycle._extend
 
-    def counted(values, ratios, state_cap, counter):
+    def counted(values, ratios):
         enumerated.append(len(values) * len(ratios))
-        return extend(values, ratios, state_cap, counter)
+        return extend(values, ratios)
     monkeypatch.setattr(cocycle, "_extend", counted)
-    target, eps, total = F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12), 14559
-    assert witness_search(powers_half, target, eps, max_block=46, state_cap=total) is None
-    assert sum(enumerated) * 4 <= total
+    target, eps, total = F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12), 38961
+    assert witness_search(vs, target, eps, max_block=12, state_cap=total) is None
+    assert sum(enumerated) * 2 <= total
     # the cap trips where the rebuilding reference trips
     for search in (witness_search, _fraction_search):
         with pytest.raises(SearchBudgetExceeded, match=f"state cap of {total - 1}$"):
+            search(vs, target, eps, max_block=12, state_cap=total - 1)
+
+
+def test_exponent_levels_count_as_integer_keys(powers_half, monkeypatch):
+    # powers_half takes the exponent path, which enumerates no level: a
+    # level counts its exponents' bit count, so over 46 coordinates the
+    # cap trips where the rebuilding reference trips
+    monkeypatch.setattr(cocycle, "_extend", _raise)
+    target, eps, total = F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12), 14559
+    assert witness_search(powers_half, target, eps, max_block=46, state_cap=total) is None
+    for search in (witness_search, _fraction_search):
+        with pytest.raises(SearchBudgetExceeded, match=f"state cap of {total - 1}$"):
             search(powers_half, target, eps, max_block=46, state_cap=total - 1)
+
+
+@pytest.mark.parametrize("spec", [
+    lambda: powers(F(1, 2)), lambda: geometric_scheme(F(1, 2)), lambda: capped_scheme(),
+    lambda: single_class(ExplicitWeights((F(4, 7), F(2, 7), F(1, 7)))),
+], ids=["powers_half", "geometric_half", "capped_half", "explicit_421"])
+def test_rank_one_searches_enumerate_no_level(spec, monkeypatch):
+    # every ratio is a power of 2: misses, hits (with a tie between 1 and 2
+    # at 3/2) and cap trips run on exponents alone, as the reference runs
+    vs = validate(normalize_spec(spec()))
+    monkeypatch.setattr(cocycle, "_extend", _raise)
+    for target, eps, max_block, state_cap in [
+            (F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12), 8, 10 ** 8),
+            (F(1, 2 ** 7) * (1 + F(1, 10 ** 9)), F(1, 2 ** 7 * 10 ** 6), 8, 10 ** 8),
+            (F(3, 2), F(1, 2) + F(1, 10 ** 9), 4, 10 ** 8),
+            (F(5, 7), F(1, 10 ** 9), 5, 10 ** 8),
+            (F(1, 3), F(1, 100), 8, 40)]:
+        args = (vs, target, eps)
+        kwargs = {"max_block": max_block, "state_cap": state_cap}
+        assert _outcome(witness_search, *args, **kwargs) \
+            == _outcome(_fraction_search, *args, **kwargs)
+
+
+@pytest.mark.parametrize("prefix,fallback", [((), False), (((F(3, 4), F(1, 4)),), True)])
+def test_a_hit_truncates_no_coordinate_past_it(prefix, fallback, monkeypatch):
+    # capped coordinates each carry their own alphabet, and ratio 3 in the
+    # prefix puts the capped ratio 2 beside it in a group of rank 2: the
+    # search leaves the exponent path at coordinate 2, with the alphabets
+    # it has truncated so far
+    vs = validate(SchemeSpec("rational", prefix, (
+        IndexClass(Indices(len(prefix) + 1, 1), CappedGeometric(F(1, 2), 3)),)))
+    truncations = _count_calls(monkeypatch, cocycle, "truncate_alphabet")
+    keys = _count_calls(monkeypatch, cocycle, "_moves")
+    target, eps = F(1, 2 ** 6) * (1 + F(1, 10 ** 9)), F(1, 2 ** 6 * 10 ** 6)
+    w = witness_search(vs, target, eps, max_block=10)
+    assert len(w.coordinates) == 3 + len(prefix)
+    assert len(truncations) == len(w.coordinates)
+    assert bool(keys) == fallback
+    assert w == _fraction_search(vs, target, eps, max_block=10)
+
+
+@pytest.mark.parametrize("digits", [17, 320, 400])
+def test_generator_next_to_one(digits):
+    # g = 1 + 10**-digits: log g is a subnormal double at 320 digits and
+    # rounds to 0 at 400, where the exponents give way to integer keys
+    n = 10 ** digits
+    vs = validate(single_class(ExplicitWeights((F(n + 1, 2 * n + 1), F(n, 2 * n + 1)))))
+    for target, eps in ((F(1, 3), F(1, 10 ** 12)), (F(n + 1, n) ** 2, F(1, 10 ** 900)),
+                        (F(1), F(1, 2))):
+        assert witness_search(vs, target, eps, max_block=4) \
+            == _fraction_search(vs, target, eps, max_block=4)
+
+
+def test_wide_rank_one_tail_builds_no_integer_moves(monkeypatch):
+    # 688 symbols per coordinate, whose integer moves would be the ratios of
+    # all pairs of numerators thousands of digits long: the exponent path
+    # forms 1375 exponent differences instead, and enumerates no level
+    vs = validate(normalize_spec(single_class(GeometricTail((F(1, 1000),), F(99, 100)))))
+    assert len(truncate_alphabet(vs, 1, F(1, 1000)).weights) == 688
+    monkeypatch.setattr(cocycle, "_extend", _raise)
+    monkeypatch.setattr(cocycle, "_moves", _raise)
+    assert witness_search(vs, F(3, 7), F(1, 10 ** 12), max_block=2) is None
 
 
 def test_float_search_sorts_a_shared_level_once(monkeypatch):
@@ -537,26 +633,29 @@ def test_tie_goes_to_the_least_pair(weights, target, eps, want):
 
 
 @pytest.mark.parametrize("target,eps,max_block,length,fresh", [
-    # a miss through 46 coordinates of one alphabet
-    (F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12), 46, None, 91),
-    # a hit at length 20 bisects no more than a miss there would
-    (F(1, 2 ** 20) * (1 + F(1, 10 ** 9)), F(1, 2 ** 20 * 10 ** 6), 24, 20, 39),
+    # a miss through 12 coordinates of one alphabet
+    (F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12), 12, None, 1483),
+    # (2/7)**6 takes 6 coordinates: a hit at length 6 bisects no more than
+    # a miss there would
+    (F(2, 7) ** 6 * (1 + F(1, 10 ** 9)), F(2, 7) ** 6 / 10 ** 6, 8, 6, 201),
 ])
-def test_each_length_tests_only_its_fresh_keys(powers_half, monkeypatch, target, eps,
+def test_each_length_tests_only_its_fresh_keys(monkeypatch, target, eps,
                                                max_block, length, fresh):
     # from length 2 on, a length pairs the right keys its last coordinate
-    # adds with the left keys, one bisection each
-    weights = truncate_alphabet(powers_half, 1, F(1, 1000)).weights
+    # adds with the left keys, one bisection each; the alphabet's ratios
+    # generate a group of rank 2, so the search runs on integer keys
+    vs = validate(normalize_spec(RATIONAL_SCHEMES["explicit_7532"]()))
+    weights = truncate_alphabet(vs, 1, F(1, 1000)).weights
     sizes = [1]           # distinct values of j coordinates
     values = {F(1)}
-    for _ in range(23):
+    for _ in range(max_block // 2):
         values = {v * r for v in values for r, _ in _ratio_moves(weights)}
         sizes.append(len(values))
     # length 1 tests the empty right half's one key
     last = length or max_block
     assert fresh == 1 + sum(sizes[n // 2] - sizes[n // 2 - 1] for n in range(2, last + 1))
     calls = _count_calls(monkeypatch, cocycle, "bisect_right")
-    w = witness_search(powers_half, target, eps, max_block=max_block)
+    w = witness_search(vs, target, eps, max_block=max_block)
     assert (None if w is None else len(w.coordinates)) == length
     assert len(calls) <= fresh
 
@@ -691,7 +790,8 @@ def _fraction_oracle(block, targets):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(RATIONAL_SCHEMES) + sorted(FLOAT_SCHEMES)), st.integers(0, 12),
+@given(st.sampled_from(sorted(set(RATIONAL_SCHEMES) - set(WIDE_SCHEMES)) + sorted(FLOAT_SCHEMES)),
+       st.integers(0, 12),
        st.integers(1, 4),
        st.lists(st.fractions(min_value=F(1, 100), max_value=10, max_denominator=10 ** 5),
                 min_size=1, max_size=4),

@@ -12,7 +12,7 @@ from kriegerlab import (
     scheme_to_factor, truncate_alphabet, validate,
 )
 from kriegerlab.cli import main
-from kriegerlab.exact import as_mode
+from kriegerlab.exact import ScalarError, as_mode
 from kriegerlab.scheme import ModeError, _div
 
 from conftest import ALL_N, EVENS, ODDS, F, dyadic_indices, powers, single_class
@@ -213,6 +213,15 @@ def test_capped_weights_match_per_symbol_formula(ratio, cap, size_start, size_st
     got = tpl.weights_at(pos + 1, pos, mode)
     assert got == want
     assert [type(w) for w in got] == [type(w) for w in want]
+
+
+@pytest.mark.parametrize("template", [CappedGeometric(0.5, 3), TwoPoint("const", 0.5)])
+def test_rational_mode_rejects_a_float_ratio(template):
+    # the exact weights are built from the ratio's integers, which a float
+    # in rational mode does not have: an input error, not a binary fraction
+    vs = validate(single_class(template))
+    with pytest.raises(ScalarError, match="is not exact; rational mode requires Fraction data"):
+        vs.weights_at(3)
 
 
 def test_truncate_geometric_budget_eighth():
