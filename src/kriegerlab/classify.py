@@ -107,7 +107,7 @@ def ratio_defect(weights) -> Num:
     Float input keeps the pairwise loop and its summation order.
     """
     if all(is_exact(w) for w in weights):
-        return _ratio_defect_exact([Fraction(w) for w in weights])
+        return _ratio_defect_exact(weights)
     total = 0.0
     for i, wi in enumerate(weights):
         for j, wj in enumerate(weights):

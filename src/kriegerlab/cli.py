@@ -15,7 +15,6 @@ documents.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -34,7 +33,7 @@ from .scheme import (
     FactorSpec, SpecError, ValidatedScheme, factor_to_scheme, normalize,
     scheme_to_factor, validate,
 )
-from .specfile import SpecFileError, dump_spec, load_spec
+from .specfile import SpecFileError, dump_spec, load_spec, to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -59,7 +58,7 @@ def _seed_flag(text: str) -> int:
 
 def _emit(doc: dict, fmt: str, render_text):
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(to_json(doc))
     else:
         render_text(doc)
 

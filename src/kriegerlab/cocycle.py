@@ -258,29 +258,40 @@ _ROOT = ({1: None},)
 
 
 def _levels(coordinate_moves, state_cap: int, counter: list, levels=_ROOT,
-            shared=((), ())) -> list:
+            shared=((), (), ()), spent=None) -> list:
     """``levels`` extended by one :func:`_extend` dict per coordinate, or
     on the exponent path one ``groups.grow`` mask of exponents.
 
     Level k holds the values achievable on the first k coordinates, each
     mapped to its parent on level k - 1.  ``shared`` holds the (levels,
-    coordinate moves) of another enumeration from the same root: where
-    level k - 1 is its level k - 1 and coordinate k carries the very same
-    move list, level k is its level k, taken instead of rebuilt.  Its
-    states, level size times move count, are counted all the same, so a
-    cap trips at the same step, with the same message, as on a rebuild.
+    coordinate moves, ``spent``) of another enumeration from the same
+    root: where level k - 1 is its level k - 1 and coordinate k carries
+    the very same move list, level k is its level k, taken instead of
+    rebuilt.  Its states, level size times move count, are counted all
+    the same, the whole shared run in one sum, so a cap trips in the same
+    call, with the same message, as on a rebuild.  ``spent``, where given,
+    holds per level of ``levels`` the states counted to reach it from the
+    root, and grows with it.
     """
     levels = list(levels)
-    other, other_moves = shared
+    other, other_moves, other_spent = shared
+    k = n = len(levels)
+    if k < len(other) and levels[-1] is other[k - 1]:
+        for moves in coordinate_moves:
+            if n == len(other) or moves is not other_moves[n - 1]:
+                break
+            n += 1
+        _charge(counter, other_spent[n - 1] - other_spent[k - 1], state_cap)
+        levels += other[k:n]
+        coordinate_moves = coordinate_moves[n - k:]
     for moves in coordinate_moves:
-        k, last = len(levels), levels[-1]
-        _charge(counter, (len(last) if type(last) is dict else last.bit_count()) * len(moves),
-                state_cap)
-        if k < len(other) and last is other[k - 1] and moves is other_moves[k - 1]:
-            levels.append(other[k])
-        else:
-            levels.append(_extend(last, [r for r, _ in moves]) if type(last) is dict
-                          else grow(last, moves))
+        last = levels[-1]
+        states = (len(last) if type(last) is dict else last.bit_count()) * len(moves)
+        _charge(counter, states, state_cap)
+        levels.append(_extend(last, [r for r, _ in moves]) if type(last) is dict
+                      else grow(last, moves))
+        if spent is not None:
+            spent.append(spent[-1] + states)
     return levels
 
 
@@ -322,6 +333,7 @@ def _exponent_search(vs: ValidatedScheme, coords: range, delta: Num, state_cap: 
         g, moves = exponent_moves(alphabet.numerators[1], g)
         return alphabet, moves
     counter, moves, left, right, full, low, window = [0], [], (1,), (1,), 1, 0, None
+    spent = [0]         # per left level, the states counted to reach it
     for length, (alphabet, m) in enumerate(_by_alphabet(vs, coords, alphabet_moves), 1):
         truncated.append(alphabet)
         if m is None:
@@ -329,10 +341,10 @@ def _exponent_search(vs: ValidatedScheme, coords: range, delta: Num, state_cap: 
         moves.append(m)
         mid = (length + 1) // 2
         if length % 2:
-            left = _levels(moves[mid - 1:mid], state_cap, counter, left)
-            right = _levels(moves[mid:], state_cap, counter, (1,), (left, moves))
+            left = _levels(moves[mid - 1:mid], state_cap, counter, left, spent=spent)
+            right = _levels(moves[mid:], state_cap, counter, (1,), (left, moves, spent))
         else:
-            right = _levels(moves[-1:], state_cap, counter, right, (left, moves))
+            right = _levels(moves[-1:], state_cap, counter, right, (left, moves, spent))
         full, low = grow(full, m), low + m[0][0]
         window, near = window_hits(g, window, full, low, tn, td, en, ed)
         if near:
@@ -431,17 +443,17 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     per_alphabet = _by_alphabet(vs, coords, alphabet_moves)
     moves = []      # per coordinate; one list object per alphabet
     scale = 1
-    left = _ROOT
+    left, spent = _ROOT, [0]
     for length, (s, m) in enumerate(per_alphabet, 1):
         moves.append(m)
         scale *= s
         mid = (length + 1) // 2
         if length % 2:
-            left = _levels(moves[mid - 1:mid], state_cap, counter, left)
+            left = _levels(moves[mid - 1:mid], state_cap, counter, left, spent=spent)
             left_vals = sorted(left[-1])
-            right = _levels(moves[mid:], state_cap, counter, shared=(left, moves))
+            right = _levels(moves[mid:], state_cap, counter, shared=(left, moves, spent))
         else:
-            right = _levels(moves[-1:], state_cap, counter, right, (left, moves))
+            right = _levels(moves[-1:], state_cap, counter, right, (left, moves, spent))
         k = len(right) - 1
         if exact:
             fresh = _fresh(right[k], right[k - 1], s) if k else right[k]
@@ -618,12 +630,14 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
     ratios = [] if exact else None
     moves = []
     rng = random.Random()
+    # for an int, Random.seed only dispatches on its type to this C method
+    reseed = super(random.Random, rng).seed
     draws = iter(rng.random, None)
     # tables go first in each word's map, so a word pulls exactly one query
     # per coordinate, and the float queries retained * u stay in step
     queries = draws if exact else map(mul, cycle(block.retained), draws)
     for i in range(n_samples):
-        rng.seed(_derived_seed(seed, i))
+        reseed(_derived_seed(seed, i))
         x = tuple(map(bisect_right, tables, queries))
         y = tuple(map(bisect_right, tables, queries))
         if exact:

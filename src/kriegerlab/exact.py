@@ -26,6 +26,10 @@ class ScalarError(ValueError):
     pass
 
 
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def parse_scalar(value, mode: str) -> Num:
     """Parse a scalar from spec-file data.
 
@@ -33,9 +37,19 @@ def parse_scalar(value, mode: str) -> Num:
     integers and decimal strings are also accepted and converted
     exactly).  Float mode converts the result to a double.
     """
-    if isinstance(value, bool):
+    # str first: a test against Fraction, an ABC, costs a call on a str
+    if isinstance(value, str):
+        p, slash, q = value.partition("/")
+        try:
+            if _is_digits(p) and (not slash or _is_digits(q)):
+                x = Fraction(int(p), int(q) if slash else 1)   # the regex path's value and errors
+            else:
+                x = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ScalarError(f"cannot parse scalar {value!r}: {exc}") from None
+    elif isinstance(value, bool):
         raise ScalarError(f"not a scalar: {value!r}")
-    if isinstance(value, Fraction):
+    elif isinstance(value, Fraction):
         x = value
     elif isinstance(value, int):
         x = Fraction(value)
@@ -44,22 +58,25 @@ def parse_scalar(value, mode: str) -> Num:
             raise ScalarError(
                 f"float literal {value!r} not allowed in rational mode; write 'p/q'")
         return value
-    elif isinstance(value, str):
-        try:
-            x = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScalarError(f"cannot parse scalar {value!r}: {exc}") from None
     else:
         raise ScalarError(f"cannot parse scalar of type {type(value).__name__}")
     return as_mode(x, mode)
 
 
+# str(int) refuses ints past a digit limit, 4300 by default and never below
+# 640 (2126 bits) where it is set; at or below this bit length str is allowed
+_STR_BITS = 2048
+
+
 def format_scalar(x: Num):
     """JSON-ready form: Fractions as 'p/q' strings, floats as floats.
 
-    Through ``Decimal``: ``str(int)`` has a digit limit that specs can pass.
+    Beyond :data:`_STR_BITS` through ``Decimal``: ``str(int)`` has a digit
+    limit that specs can pass.
     """
     if isinstance(x, Fraction):
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) <= _STR_BITS:
+            return str(x)
         if x.denominator == 1:
             return str(Decimal(x.numerator))
         return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"

@@ -589,6 +589,8 @@ Template = Union[ExplicitWeights, GeometricTail, TwoPoint, Perturbed, CappedGeom
 
 
 def _div(a, b) -> Num:
+    if type(a) is Fraction and type(b) is Fraction:
+        return a / b
     if is_exact(a) and is_exact(b):
         return Fraction(a) / Fraction(b)
     return a / b

@@ -33,6 +33,8 @@ Deviations: {"family": "zero"} | {"family": "geometric", "rho": s, "coeff"?: s}
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Union
 
 from .exact import check_mode, format_scalar, parse_scalar
@@ -186,5 +188,84 @@ def dump_spec(spec: Union[SchemeSpec, FactorSpec]) -> str:
                      "template": _dump_template(c.template)}
                     for c in spec.classes],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return to_json(doc) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+def to_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set the stdlib never uses its C encoder; this writes
+    the same pieces into one list, joined once.
+    """
+    out = []
+    _write(doc, out.append, "\n")
+    return "".join(out)
+
+
+def _write(o, put, pad: str):
+    """Put the pieces of ``o`` at indent ``pad`` (a newline and spaces).
+
+    Module-level and handed ``put``: a closure calling itself would make
+    a reference cycle per document, so its pieces would wait for the
+    cyclic GC.  No object is two of str, int, float, list, tuple and
+    dict, so testing the most frequent first picks the stdlib's case;
+    None and the bools go before int, as there.
+    """
+    if isinstance(o, str):
+        put(_quote(o))
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            put(sep + (_quote(k) if isinstance(k, str) else _key(k)) + ": ")
+            _write(o[k], put, inner)
+            sep = "," + inner
+        put(pad + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for v in o:
+            put(sep)
+            _write(v, put, inner)
+            sep = "," + inner
+        put(pad + "]")
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        put(_float(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _float(x: float) -> str:
+    """A float as the stdlib writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k) -> str:
+    """A key that is no str, converted as the stdlib converts it."""
+    if k is None or isinstance(k, (int, float)):       # bools are ints
+        return _quote(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
