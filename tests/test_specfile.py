@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kriegerlab import dump_spec, load_spec, normalize, parse_spec, scheme_to_factor
-from kriegerlab.cli import main
 from kriegerlab.specfile import SpecFileError, to_json
 
 from conftest import SPEC_DIR
@@ -110,13 +109,6 @@ def test_convert_output_equals_json_dumps(spec):
     for out in (spec, scheme_to_factor(normalize(spec).spec)):
         text = dump_spec(out)
         assert text == _stdlib(json.loads(text)) + "\n"
-
-
-@pytest.mark.parametrize("name", ALL_SPECS)
-def test_classify_output_equals_json_dumps(name, capsys):
-    main(["classify", str(SPEC_DIR / name), "--format", "json"])
-    out = capsys.readouterr().out
-    assert out == _stdlib(json.loads(out)) + "\n"
 
 
 def test_writing_leaves_no_reference_cycle():
