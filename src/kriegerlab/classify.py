@@ -90,8 +90,11 @@ def _is_uniform(weights) -> bool:
     return all(w == weights[0] for w in weights)
 
 
-def uniformity_defect(weights) -> float:
-    """Average of |1 - sqrt(w_i * k)|**2 over a finite weight vector."""
+def uniformity_defect(weights) -> Num:
+    """Average of |1 - sqrt(w_i * k)|**2 over a finite weight vector;
+    exactly 0 on a uniform one."""
+    if _is_uniform(weights):
+        return Fraction(0)
     k = len(weights)
     return sum(abs(1.0 - math.sqrt(float(w) * k)) ** 2 for w in weights) / k
 
@@ -145,10 +148,6 @@ def _ratio_defect_exact(weights) -> Fraction:
 # ---------------------------------------------------------------------------
 # the three series tests: one rule table and one driver
 
-def _zero_if_uniform(weights, defect) -> Term:
-    return Term("zero") if _is_uniform(weights) else Term("const", value=defect(weights))
-
-
 def _limit_term(tpl: Perturbed, value: Num) -> Term:
     return Term("const" if tpl.deviation.family == ZERO else "converges", value=value)
 
@@ -190,18 +189,12 @@ def _two_point_III(tpl: TwoPoint, mode) -> Term:
     return Term("converges", value=ratio_defect(_two_point_weights(float(lam))))
 
 
-def _perturbed_II1(tpl: Perturbed, mode) -> Term:
+def _perturbed(tpl: Perturbed, defect) -> Term:
+    """The II_1 or type-III term, by ``defect``, of a perturbed class."""
     if _is_uniform(tpl.limit):
         # comparable to eps_n**2 (the zero term for a zero deviation)
         return Term.from_deviation(tpl.deviation.squared())
-    return _limit_term(tpl, uniformity_defect(_normalized_limit(tpl)))
-
-
-def _perturbed_III(tpl: Perturbed, mode) -> Term:
-    if _is_uniform(tpl.limit):
-        # comparable to eps_n**2 (the zero term for a zero deviation)
-        return Term.from_deviation(tpl.deviation.squared())
-    return _limit_term(tpl, ratio_defect(_normalized_limit(tpl)))
+    return _limit_term(tpl, defect(_normalized_limit(tpl)))
 
 
 # The term of an infinite class, by template kind, in the type-I, type-II_1
@@ -209,8 +202,8 @@ def _perturbed_III(tpl: Perturbed, mode) -> Term:
 _SERIES_RULES = {
     ExplicitWeights.kind: (
         lambda t, mode: Term("const", value=1 - _div(max(t.weights), t.total())),
-        lambda t, mode: _zero_if_uniform(t.weights_at(0, 0, mode), uniformity_defect),
-        lambda t, mode: _zero_if_uniform(t.weights_at(0, 0, mode), ratio_defect),
+        lambda t, mode: Term("const", value=uniformity_defect(t.weights_at(0, 0, mode))),
+        lambda t, mode: Term("const", value=ratio_defect(t.weights_at(0, 0, mode))),
     ),
     GeometricTail.kind: (
         lambda t, mode: Term("const", value=1 - _div(max(t.base), t.total())),
@@ -220,8 +213,8 @@ _SERIES_RULES = {
     TwoPoint.kind: (_two_point_I, _two_point_II1, _two_point_III),
     Perturbed.kind: (
         lambda t, mode: _limit_term(t, 1 - _div(max(t.limit), sum(t.limit))),
-        _perturbed_II1,
-        _perturbed_III,
+        lambda t, mode: _perturbed(t, uniformity_defect),
+        lambda t, mode: _perturbed(t, ratio_defect),
     ),
     CappedGeometric.kind: (
         lambda t, mode: Term("converges", value=1),
@@ -277,13 +270,7 @@ def test_type_II1(vs: ValidatedScheme) -> SummabilityVerdict:
             DIVERGENT,
             "some coordinates have infinite alphabets; the finite-alphabet "
             "precondition of the II_1 criterion fails")
-    return _series_verdict(vs, _TYPE_II1, _uniformity_defect_finite)
-
-
-def _uniformity_defect_finite(weights):
-    if _is_uniform(weights):
-        return Fraction(0)
-    return uniformity_defect(weights)
+    return _series_verdict(vs, _TYPE_II1, uniformity_defect)
 
 
 def test_type_III(vs: ValidatedScheme) -> SummabilityVerdict:

@@ -140,13 +140,6 @@ def cocycle_ratio(block: Block, x: Sequence[int], y: Sequence[int]) -> Num:
     return num
 
 
-def _log_of(w: Num) -> float:
-    if is_exact(w):
-        f = Fraction(w)
-        return math.log(f.numerator) - math.log(f.denominator)
-    return math.log(w)
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 
@@ -258,40 +251,30 @@ _ROOT = ({1: None},)
 
 
 def _levels(coordinate_moves, state_cap: int, counter: list, levels=_ROOT,
-            shared=((), (), ()), spent=None) -> list:
+            shared=((), ())) -> list:
     """``levels`` extended by one :func:`_extend` dict per coordinate, or
     on the exponent path one ``groups.grow`` mask of exponents.
 
     Level k holds the values achievable on the first k coordinates, each
     mapped to its parent on level k - 1.  ``shared`` holds the (levels,
-    coordinate moves, ``spent``) of another enumeration from the same
-    root: where level k - 1 is its level k - 1 and coordinate k carries
-    the very same move list, level k is its level k, taken instead of
-    rebuilt.  Its states, level size times move count, are counted all
-    the same, the whole shared run in one sum, so a cap trips in the same
-    call, with the same message, as on a rebuild.  ``spent``, where given,
-    holds per level of ``levels`` the states counted to reach it from the
-    root, and grows with it.
+    coordinate moves) of another enumeration from the same root: where
+    level k - 1 is its level k - 1 and coordinate k carries the very same
+    move list, level k is its level k, taken instead of rebuilt.  Each
+    level's states, level size times move count, are counted as it is
+    reached, taken or built, so a cap trips where a rebuild trips.
     """
     levels = list(levels)
-    other, other_moves, other_spent = shared
-    k = n = len(levels)
-    if k < len(other) and levels[-1] is other[k - 1]:
-        for moves in coordinate_moves:
-            if n == len(other) or moves is not other_moves[n - 1]:
-                break
-            n += 1
-        _charge(counter, other_spent[n - 1] - other_spent[k - 1], state_cap)
-        levels += other[k:n]
-        coordinate_moves = coordinate_moves[n - k:]
+    other, other_moves = shared
     for moves in coordinate_moves:
-        last = levels[-1]
-        states = (len(last) if type(last) is dict else last.bit_count()) * len(moves)
-        _charge(counter, states, state_cap)
-        levels.append(_extend(last, [r for r, _ in moves]) if type(last) is dict
-                      else grow(last, moves))
-        if spent is not None:
-            spent.append(spent[-1] + states)
+        last, k = levels[-1], len(levels)
+        exponents = type(last) is not dict
+        _charge(counter, (last.bit_count() if exponents else len(last)) * len(moves),
+                state_cap)
+        if k < len(other) and last is other[k - 1] and moves is other_moves[k - 1]:
+            levels.append(other[k])
+        else:
+            levels.append(grow(last, moves) if exponents
+                          else _extend(last, [r for r, _ in moves]))
     return levels
 
 
@@ -333,7 +316,6 @@ def _exponent_search(vs: ValidatedScheme, coords: range, delta: Num, state_cap: 
         g, moves = exponent_moves(alphabet.numerators[1], g)
         return alphabet, moves
     counter, moves, left, right, full, low, window = [0], [], (1,), (1,), 1, 0, None
-    spent = [0]         # per left level, the states counted to reach it
     for length, (alphabet, m) in enumerate(_by_alphabet(vs, coords, alphabet_moves), 1):
         truncated.append(alphabet)
         if m is None:
@@ -341,10 +323,10 @@ def _exponent_search(vs: ValidatedScheme, coords: range, delta: Num, state_cap: 
         moves.append(m)
         mid = (length + 1) // 2
         if length % 2:
-            left = _levels(moves[mid - 1:mid], state_cap, counter, left, spent=spent)
-            right = _levels(moves[mid:], state_cap, counter, (1,), (left, moves, spent))
+            left = _levels(moves[mid - 1:mid], state_cap, counter, left)
+            right = _levels(moves[mid:], state_cap, counter, (1,), (left, moves))
         else:
-            right = _levels(moves[-1:], state_cap, counter, right, (left, moves, spent))
+            right = _levels(moves[-1:], state_cap, counter, right, (left, moves))
         full, low = grow(full, m), low + m[0][0]
         window, near = window_hits(g, window, full, low, tn, td, en, ed)
         if near:
@@ -443,17 +425,17 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     per_alphabet = _by_alphabet(vs, coords, alphabet_moves)
     moves = []      # per coordinate; one list object per alphabet
     scale = 1
-    left, spent = _ROOT, [0]
+    left = _ROOT
     for length, (s, m) in enumerate(per_alphabet, 1):
         moves.append(m)
         scale *= s
         mid = (length + 1) // 2
         if length % 2:
-            left = _levels(moves[mid - 1:mid], state_cap, counter, left, spent=spent)
+            left = _levels(moves[mid - 1:mid], state_cap, counter, left)
             left_vals = sorted(left[-1])
-            right = _levels(moves[mid:], state_cap, counter, shared=(left, moves, spent))
+            right = _levels(moves[mid:], state_cap, counter, shared=(left, moves))
         else:
-            right = _levels(moves[-1:], state_cap, counter, right, (left, moves, spent))
+            right = _levels(moves[-1:], state_cap, counter, right, (left, moves))
         k = len(right) - 1
         if exact:
             fresh = _fresh(right[k], right[k - 1], s) if k else right[k]
@@ -621,7 +603,7 @@ def mc_sample_cocycle(vs: ValidatedScheme, seed: int = DEFAULT_SEED,
         if exact:
             # w[b]/w[a] = N[b]/N[a] over the coordinate's common denominator
             return _exact_table(numerators, retained), numerators[1]
-        return _float_table(weights), [_log_of(w) for w in weights]
+        return _float_table(weights), [math.log(w) for w in weights]
     # per coordinate, built once per distinct alphabet as the block
     # truncates it: the draw thresholds, and each symbol's numerator
     # (rational) or log weight (float)

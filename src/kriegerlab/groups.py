@@ -140,13 +140,11 @@ def _exponents(x: Fraction, basis) -> list:
             for b in basis]
 
 
-def _parallel_ratio(va: list, vb: list) -> Optional[Fraction]:
-    """t with va = t*vb when the vectors are parallel, else None; vb != 0."""
+def _parallel(va: list, vb: list) -> bool:
+    """Whether va = t*vb for a rational t; vb != 0."""
     i = next(i for i, e in enumerate(vb) if e)
     n, d = va[i], vb[i]
-    if any(a * d != b * n for a, b in zip(va, vb)):
-        return None
-    return Fraction(n, d)
+    return all(a * d == b * n for a, b in zip(va, vb))
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +198,11 @@ def commensurable(a: Num, b: Num) -> Optional[tuple]:
     if a == b:
         return (1, 1)
     if is_exact(a) and is_exact(b):
-        basis = _coprime_basis((a, b))
-        t = _parallel_ratio(_exponents(a, basis), _exponents(b, basis))
-        if t is None:
+        h, k = _root((a, b))
+        if h is None:
             return None
-        return (t.numerator, t.denominator)
+        g = math.gcd(*k)
+        return (k[0] // g, k[1] // g)
     t = math.log(a) / math.log(b)
     for p, q in convergents(t, MAX_DENOMINATOR):
         if p <= 0 or q <= 0:
@@ -266,7 +264,7 @@ def _root(pts) -> tuple:
     vectors = [_exponents(x, basis) for x in pts]
     base = vectors[0]
     for i, vec in enumerate(vectors):
-        if _parallel_ratio(vec, base) is None:
+        if not _parallel(vec, base):
             return None, i
     # every vector is an integer multiple of the primitive direction of base
     content = math.gcd(*base)

@@ -19,7 +19,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exact import RATIONAL, Num, _numerators, as_mode, check_mode, is_exact
 
@@ -220,20 +220,44 @@ TP_ONE_MINUS_EXP = "one_minus_exp"
 TP_WEIGHT = "weight"
 
 
+class _Template:
+    """The base of the weight templates, with their defaults.
+
+    Each template gives ``check(mode, first)``, which refuses what its
+    class cannot carry from its first coordinate on; a finite-alphabet one
+    gives ``ratio_limits()``, the limits of mu_n(i)/mu_n(0) for its symbols
+    i >= 1, in symbol order, repeats kept.  By default a template has the
+    zero deviation, one alphabet on its whole class exactly when the
+    deviation is zero (``coordinate_free``, see
+    ValidatedScheme.alphabet_key), its alphabet size as its largest
+    alphabet, and itself as its normalized form.
+    """
+
+    deviation = ZERO_DEVIATION
+
+    @property
+    def coordinate_free(self) -> bool:
+        return self.deviation.family == ZERO
+
+    def max_alphabet(self):
+        return self.alphabet_size()
+
+    def normalized(self):
+        return self
+
+    def is_normalized(self, mode: str) -> bool:
+        return True
+
+
 @dataclass(frozen=True)
-class ExplicitWeights:
+class ExplicitWeights(_Template):
     """One fixed finite weight vector for every coordinate of the class."""
 
     weights: tuple
 
     kind = "explicit"
-    deviation = ZERO_DEVIATION       # constant, like a zero-deviation two-point class
-    coordinate_free = True
 
     def alphabet_size(self, pos: int = 0) -> int:
-        return len(self.weights)
-
-    def max_alphabet(self):
         return len(self.weights)
 
     def total(self) -> Num:
@@ -245,7 +269,7 @@ class ExplicitWeights:
     def ratio_limits(self) -> tuple:
         return tuple(_div(w, self.weights[0]) for w in self.weights[1:])
 
-    def check(self, mode: str):
+    def check(self, mode: str, first: int):
         if len(self.weights) < 2:
             raise SpecError("alphabet size must be >= 2")
         if any(w <= 0 for w in self.weights):
@@ -262,7 +286,7 @@ class ExplicitWeights:
 
 
 @dataclass(frozen=True)
-class GeometricTail:
+class GeometricTail(_Template):
     """Countably infinite alphabet with a geometric tail.
 
     The weight vector is ``base[0], ..., base[m-2]`` followed by
@@ -275,12 +299,8 @@ class GeometricTail:
     ratio: Num
 
     kind = "geometric_tail"
-    coordinate_free = True
 
     def alphabet_size(self, pos: int = 0):
-        return None
-
-    def max_alphabet(self):
         return None
 
     def total(self) -> Num:
@@ -297,7 +317,7 @@ class GeometricTail:
         raise InfiniteAlphabet("a geometric_tail alphabet is infinite and has no "
                                "finite weight vector")
 
-    def check(self, mode: str):
+    def check(self, mode: str, first: int):
         if not self.base:
             raise SpecError("geometric tail needs a non-empty base")
         if any(w <= 0 for w in self.base):
@@ -330,7 +350,7 @@ class GeometricTail:
 
 
 @dataclass(frozen=True)
-class TwoPoint:
+class TwoPoint(_Template):
     """Two-symbol coordinates parametrized by lambda_n = mu_n(1)/mu_n(0).
 
     Forms of the lambda expression:
@@ -338,7 +358,8 @@ class TwoPoint:
       * ``exp``            -- lambda_n = value * exp(-eps_n), value in (0,1]
       * ``one_minus_exp``  -- lambda_n = 1 - exp(-eps_n)  (limit 0)
       * ``weight``         -- mu_n = (1 - eps_n, eps_n) exactly, so
-                              lambda_n = eps_n / (1 - eps_n)  (limit 0)
+                              lambda_n = eps_n / (1 - eps_n)  (limit 0);
+                              needs eps_n <= 1/2 on the class's coordinates
 
     ``exp`` and ``one_minus_exp`` are transcendental and require float
     mode; ``const`` and ``weight`` stay exact in rational mode.
@@ -353,26 +374,16 @@ class TwoPoint:
     def alphabet_size(self, pos: int = 0) -> int:
         return 2
 
-    def max_alphabet(self):
-        return 2
-
-    @property
-    def coordinate_free(self) -> bool:
-        return self.form == TP_CONST
-
     def needs_float(self) -> bool:
         return self.form in (TP_EXP, TP_ONE_MINUS_EXP)
 
     def lam_at(self, n: int, pos: int, mode: str) -> Num:
+        """lambda_n of the const, exp and one_minus_exp forms."""
         if self.form == TP_CONST:
             return as_mode(self.value, mode)
         if self.form == TP_EXP:
             return float(self.value) * math.exp(-self.deviation.at(n, pos))
-        if self.form == TP_ONE_MINUS_EXP:
-            return 1.0 - math.exp(-self.deviation.at(n, pos))
-        eps = self.deviation.at(n, pos)
-        eps = as_mode(eps, mode)
-        return _div(eps, 1 - eps)
+        return 1.0 - math.exp(-self.deviation.at(n, pos))
 
     def lam_limit(self) -> Num:
         if self.form in (TP_ONE_MINUS_EXP, TP_WEIGHT):
@@ -388,7 +399,7 @@ class TwoPoint:
     def ratio_limits(self) -> tuple:
         return (self.lam_limit(),)
 
-    def check(self, mode: str):
+    def check(self, mode: str, first: int):
         if self.form == TP_CONST:
             if self.value is None or not (0 < self.value < 1):
                 raise SpecError("two-point const form needs lambda in (0,1)")
@@ -404,12 +415,15 @@ class TwoPoint:
                 raise NonPositiveWeight(
                     f"two-point {self.form} form needs a strictly positive deviation "
                     "(eps_n = 0 would zero a weight)")
-            if self.form == TP_WEIGHT:
-                # weight vector (1-eps, eps) keeps symbol 0 maximal iff eps <= 1/2;
-                # deviations are decreasing in n, checking the first index suffices
-                if self.deviation.at(1, 0) > Fraction(1, 2):
+            # (1-eps, eps) keeps symbol 0 maximal iff eps <= 1/2; eps falls in n, so
+            # the class's first coordinate decides, and m = 1, 2, 4, ..., first stops
+            # at the first eps_m <= 1/2, sparing an exact rho**first on a pass
+            m = 1
+            while self.form == TP_WEIGHT and self.deviation.at(m, 0) > Fraction(1, 2):
+                if m == first:
                     raise NotNormalized(
                         "two-point weight form needs eps_n <= 1/2 at every coordinate")
+                m = min(2 * m, first)
         else:
             raise SpecError(f"unknown two-point form {self.form!r}")
         if self.needs_float() and mode == RATIONAL:
@@ -420,12 +434,6 @@ class TwoPoint:
             raise ModeError(
                 "two-point weight form needs exact rational deviations "
                 "(integer power exponents) in rational mode")
-
-    def normalized(self):
-        return self
-
-    def is_normalized(self, mode: str) -> bool:
-        return True
 
     def describe(self) -> str:
         if self.form == TP_CONST:
@@ -438,7 +446,7 @@ class TwoPoint:
 
 
 @dataclass(frozen=True)
-class Perturbed:
+class Perturbed(_Template):
     """A limit weight vector approached multiplicatively.
 
     Coordinate ``n`` carries the normalization of
@@ -456,13 +464,6 @@ class Perturbed:
     def alphabet_size(self, pos: int = 0) -> int:
         return len(self.limit)
 
-    def max_alphabet(self):
-        return len(self.limit)
-
-    @property
-    def coordinate_free(self) -> bool:
-        return self.deviation.family == ZERO
-
     def needs_float(self) -> bool:
         return not self.deviation.family == ZERO
 
@@ -478,7 +479,7 @@ class Perturbed:
     def ratio_limits(self) -> tuple:
         return tuple(_div(v, self.limit[0]) for v in self.limit[1:])
 
-    def check(self, mode: str):
+    def check(self, mode: str, first: int):
         if len(self.limit) < 2:
             raise SpecError("alphabet size must be >= 2")
         if any(v <= 0 for v in self.limit):
@@ -511,7 +512,7 @@ class Perturbed:
 
 
 @dataclass(frozen=True)
-class CappedGeometric:
+class CappedGeometric(_Template):
     """Finite alphabets of growing size with capped geometric ratios.
 
     The coordinate at class position ``pos`` has alphabet size
@@ -562,7 +563,7 @@ class CappedGeometric:
     def ratio_limits(self) -> tuple:
         return tuple(self.ratio ** k for k in range(1, self.cap + 1))
 
-    def check(self, mode: str):
+    def check(self, mode: str, first: int):
         if not (0 < self.ratio < 1):
             raise SpecError("capped geometric ratio must be in (0,1)")
         if self.cap < 1:
@@ -570,22 +571,9 @@ class CappedGeometric:
         if self.size_start < 2 or self.size_step < 1:
             raise SpecError("capped geometric needs size_start >= 2 and size_step >= 1")
 
-    def normalized(self):
-        return self
-
-    def is_normalized(self, mode: str) -> bool:
-        return True
-
     def describe(self) -> str:
         return (f"capped_geometric(q={self.ratio}, cap={self.cap}, "
                 f"sizes={self.size_start}+{self.size_step}*pos)")
-
-
-# every template says by ``coordinate_free`` whether all coordinates of
-# its class carry one alphabet (see ValidatedScheme.alphabet_key); a
-# finite-alphabet template gives by ``ratio_limits()`` the limits of
-# mu_n(i)/mu_n(0) for its symbols i >= 1, in symbol order, repeats kept
-Template = Union[ExplicitWeights, GeometricTail, TwoPoint, Perturbed, CappedGeometric]
 
 
 def _div(a, b) -> Num:
@@ -628,7 +616,7 @@ def _sums_to_one_value(total, mode: str) -> bool:
 @dataclass(frozen=True)
 class IndexClass:
     indices: Indices
-    template: Template
+    template: _Template
 
     def describe(self) -> str:
         return f"{self.indices.describe()} -> {self.template.describe()}"
@@ -692,7 +680,7 @@ class ValidatedScheme:
             if spec.mode == RATIONAL and not all(is_exact(w) for w in vec):
                 raise ModeError(f"prefix coordinate {v} carries floats in rational mode")
         for cls in spec.classes:
-            cls.template.check(spec.mode)
+            cls.template.check(spec.mode, cls.indices.start or cls.indices.members[0])
             if not cls.template.is_normalized(spec.mode):
                 raise NotNormalized(
                     f"class {cls.describe()} is not normalized (run normalize)")
