@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import RATIONAL, Num, format_scalar, is_exact
+from .exact import RATIONAL, Num, _exact_sum, format_scalar, is_exact
 from .scheme import (
     Deviation, GEOMETRIC, Indices, POWER, SpecError, ValidatedScheme, ZERO,
 )
@@ -34,7 +34,7 @@ class NotTwoPoint(SpecError):
 
 SUMMABLE = "summable"
 DIVERGENT = "divergent"
-INCONCLUSIVE = "inconclusive"
+INCONCLUSIVE = "inconclusive"   # no rule gives it; replay reads it in older certificates
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class Term:
             return Term("geometric", rho=dev.rho, scale=dev.coeff, exact=exact)
         if dev.family == POWER:
             return Term("power", p=dev.exponent, scale=dev.coeff, exact=exact)
-        total = sum(dev.values) if exact else None
+        total = _exact_sum(dev.values) if exact else None
         return Term("finite", value=total)
 
 
@@ -91,10 +91,6 @@ class SummabilityVerdict:
     @property
     def divergent(self):
         return self.verdict == DIVERGENT
-
-    @property
-    def inconclusive(self):
-        return self.verdict == INCONCLUSIVE
 
     def to_dict(self):
         out = {"verdict": self.verdict, "evidence": self.evidence}
@@ -168,12 +164,8 @@ def summability(series: tuple) -> SummabilityVerdict:
         if v.divergent:
             return v
     evidence = "; ".join(v.evidence for v in verdicts) or "empty series"
-    total = Fraction(0)
-    for v in verdicts:
-        if v.total is None:
-            total = None
-            break
-        total = total + v.total
+    totals = [v.total for v in verdicts]
+    total = None if any(t is None for t in totals) else _exact_sum(totals)
     return SummabilityVerdict(SUMMABLE, evidence, total=total)
 
 

@@ -17,7 +17,9 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Union
 
-from .exact import RATIONAL, Num, _numerators, as_mode, format_scalar, is_exact
+from .exact import (
+    RATIONAL, Num, _exact_sum, _numerators, as_mode, format_scalar, is_exact,
+)
 from .asymptotics import (
     DIVERGENT, INCONCLUSIVE, SUMMABLE,
     SeriesPart, SummabilityVerdict, Term, _is_limit,
@@ -86,6 +88,14 @@ class TypeVerdict:
 # ---------------------------------------------------------------------------
 # per-coordinate series values
 
+def _type_I_value(weights) -> Num:
+    """1 - max(w); (L - max N)/L on the numerators (L, N) of exact weights."""
+    if all(map(is_exact, weights)):
+        lcm, nums = _numerators(weights)
+        return Fraction(lcm - max(nums), lcm)
+    return 1 - max(weights)
+
+
 def _is_uniform(weights) -> bool:
     return all(w == weights[0] for w in weights)
 
@@ -123,13 +133,17 @@ def ratio_defect(weights) -> Num:
 
 
 def _ratio_defect_exact(weights) -> Fraction:
-    """:func:`ratio_defect` from prefix sums P1, P2, P3 of the sorted N, N**2, N**3.
+    return _ratio_defect_numerators(*_numerators(weights))
+
+
+def _ratio_defect_numerators(lcm: int, ns) -> Fraction:
+    """:func:`ratio_defect` of the weights N_i/L, from prefix sums P1, P2, P3
+    of the sorted N, N**2, N**3; any common denominator L gives the same value.
 
     The uncapped i of a j are the first k sorted numerators, those below
     2 N_j, and sum to P3[k] - 2 N_j P2[k] + N_j**2 P1[k]; the capped ones
     add (P1[n] - P1[k]) N_j.
     """
-    lcm, ns = _numerators(weights)
     ns = sorted(ns)
     p1 = [0, *accumulate(ns)]
     p2 = [0, *accumulate(n * n for n in ns)]
@@ -157,6 +171,9 @@ def _normalized_limit(tpl: Perturbed) -> tuple:
 
 
 def _two_point_I(tpl: TwoPoint, mode) -> Term:
+    if tpl.form == TP_CONST and is_exact(tpl.value):
+        n, d = tpl.value.as_integer_ratio()
+        return Term("const", value=Fraction(n, n + d))
     if tpl.form in (TP_CONST, TP_EXP):
         lam = tpl.value
         return Term("const" if tpl.form == TP_CONST else "converges",
@@ -179,6 +196,9 @@ def _two_point_II1(tpl: TwoPoint, mode) -> Term:
 
 def _two_point_III(tpl: TwoPoint, mode) -> Term:
     lam = tpl.lam_limit()
+    if tpl.form == TP_CONST and is_exact(lam):
+        n, d = lam.as_integer_ratio()        # the weights (d, n)/(n + d)
+        return Term("const", value=_ratio_defect_numerators(n + d, (d, n)))
     if tpl.form == TP_CONST:
         return Term("const", value=ratio_defect(_two_point_weights(lam)))
     if lam == 1:
@@ -201,7 +221,8 @@ def _perturbed(tpl: Perturbed, defect) -> Term:
 # and type-III series.  Each rule is called as rule(template, mode).
 _SERIES_RULES = {
     ExplicitWeights.kind: (
-        lambda t, mode: Term("const", value=1 - _div(max(t.weights), t.total())),
+        lambda t, mode: Term("const", value=_type_I_value(t.weights) if mode == RATIONAL
+                             else 1 - _div(max(t.weights), t.total())),
         lambda t, mode: Term("const", value=uniformity_defect(t.weights_at(0, 0, mode))),
         lambda t, mode: Term("const", value=ratio_defect(t.weights_at(0, 0, mode))),
     ),
@@ -228,8 +249,7 @@ _TYPE_I, _TYPE_II1, _TYPE_III = range(3)
 
 
 def _finite_part(label: str, vectors, per_vector) -> SeriesPart:
-    values = [per_vector(vec) for vec in vectors]
-    total = sum(values) if values else Fraction(0)
+    total = _exact_sum([per_vector(vec) for vec in vectors])
     return SeriesPart(label, None, Term("finite", value=total))
 
 
@@ -255,7 +275,7 @@ def _series_verdict(vs: ValidatedScheme, series: int, per_vector) -> Summability
 
 def test_type_I(vs: ValidatedScheme) -> SummabilityVerdict:
     """Summability of the defect series sum_n (1 - max_a mu_n(a))."""
-    return _series_verdict(vs, _TYPE_I, lambda w: 1 - max(w))
+    return _series_verdict(vs, _TYPE_I, _type_I_value)
 
 
 def test_type_II1(vs: ValidatedScheme) -> SummabilityVerdict:
@@ -285,23 +305,33 @@ def _ratio_defect_geometric_tail(tpl: GeometricTail, mode: str) -> Num:
 
     All pair contributions are non-negative, so the truncated double sum
     is a rigorous lower bound; it is positive from two symbols on, which
-    is what the divergence verdict needs.  Rational tails grow by
-    w_{i+1} = w_i q; float tails take each weight from ``tpl.weight``,
-    whose rounding the printed value depends on.
+    is what the divergence verdict needs.  Symbols are taken until their
+    mass reaches 1 - 1e-9, or 200 of them.  Rational tails grow as integer
+    numerators over one common denominator, w_{i+1} = w_i q; float tails
+    take each weight from ``tpl.weight``, whose rounding the printed value
+    depends on.
     """
-    total = tpl.total()
-    weights = []
-    mass = Fraction(0) if mode == RATIONAL else 0.0
-    i = 0
-    while float(mass) < 1 - 1e-9 and i < 200:
-        if mode == RATIONAL and i >= len(tpl.base):
-            w = weights[-1] * tpl.ratio
-        else:
-            w = _div(tpl.weight(i), total)
-        weights.append(w if mode == RATIONAL else float(w))
-        mass += weights[-1]
-        i += 1
-    return ratio_defect(tuple(weights))
+    if not (mode == RATIONAL and is_exact(tpl.ratio) and all(map(is_exact, tpl.base))):
+        total = tpl.total()
+        weights, mass = [], 0.0
+        while mass < 1 - 1e-9 and len(weights) < 200:
+            weights.append(float(_div(tpl.weight(len(weights)), total)))
+            mass += weights[-1]
+        return ratio_defect(tuple(weights))
+    qn, qd = tpl.ratio.as_integer_ratio()
+    _, nb = _numerators(tpl.base)
+    head = [b * (qd - qn) for b in nb]          # base[i]/total = head[i]/den
+    den = sum(head) - head[-1] + nb[-1] * qd
+    used, j, mass = 0, 0, 0                     # the mass so far is mass/den
+    while mass / den < 1 - 1e-9 and used + j < 200:
+        if used < len(head):
+            mass += head[used]
+            used += 1
+        else:                                   # tail symbol j: head[-1] q**j, over den qd**j
+            j += 1
+            mass, den = mass * qd + head[-1] * qn ** j, den * qd
+    return _ratio_defect_numerators(den, [h * qd ** j for h in head[:used]]
+                                    + [head[-1] * qn ** i * qd ** (j - i) for i in range(1, j + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +511,6 @@ def classify(spec: Union[SchemeSpec, ValidatedScheme]) -> TypeVerdict:
         # looked up at call time, so a wrapper put on the module attribute sees the call
         verdict = globals()["test_" + key](vs)
         evidence[key] = verdict.to_dict()
-        if verdict.inconclusive:
-            cert = Certificate((f"{name}-series-inconclusive",), vs.mode,
-                               ("a series verdict is inconclusive; no label can be "
-                                "assigned from the rule table",),
-                               evidence)
-            return TypeVerdict(LABEL_INCONCLUSIVE, None, cert)
         if verdict.summable:
             fired += (f"{name}-series-summable",)
             if label == LABEL_II_INF:

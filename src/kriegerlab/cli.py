@@ -359,11 +359,74 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _plain_table(name, parser):
+    """(defaults, positionals, options, required) of a subcommand.
+
+    ``options`` maps each option string of a single-value store action to
+    it; the defaults are the namespace argparse starts from, with no
+    string default converted (none of them has a type).
+    """
+    defaults = {"command": name, **parser._defaults,
+                **{a.dest: a.default for a in parser._actions
+                   if a.default is not argparse.SUPPRESS}}
+    options = {s: a for a in parser._actions for s in a.option_strings
+               if type(a) is argparse._StoreAction and a.nargs is None}
+    return (defaults, [a for a in parser._actions if not a.option_strings], options,
+            {a for a in parser._actions if a.required})
+
+
+_PLAIN = {name: _plain_table(name, p) for name, p in next(
+    a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices.items()}
+
+
+def _plain_args(argv):
+    """The namespace ``_PARSER.parse_args(argv)`` gives a plain argv, read
+    from the subcommand's own action table; None for any other argv.
+
+    Plain is the command, its positionals, then whole ``--option value``
+    pairs of single-value store actions, with every value converting and
+    within its choices, no value starting with "-", and every required
+    option given.  Anything else (help, abbreviations, ``--opt=value``,
+    lists, unknown options, bad values, missing arguments) is argparse's
+    to parse, so every usage text, error and exit code stays its own.
+    """
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    defaults, positionals, options, required = _PLAIN[argv[0]]
+    k = 1 + len(positionals)
+    if len(argv) < k or (len(argv) - k) % 2:
+        return None
+    pairs = list(zip(positionals, argv[1:k]))
+    for i in range(k, len(argv), 2):
+        action = options.get(argv[i])
+        if action is None:
+            return None
+        pairs.append((action, argv[i + 1]))
+    values = dict(defaults)
+    for action, text in pairs:
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= {a for a, _ in pairs}:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         code = args.fn(args)
         sys.stdout.flush()

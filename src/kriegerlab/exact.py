@@ -109,8 +109,18 @@ def is_exact(x: Num) -> bool:
 
 def _numerators(weights) -> tuple:
     """(L, N) for exact weights: L the lcm of the denominators, N[i] = L * weights[i]."""
-    lcm = math.lcm(*(w.denominator for w in weights))
-    return lcm, tuple(w.numerator * (lcm // w.denominator) for w in weights)
+    ratios = [w.as_integer_ratio() for w in weights]
+    lcm = math.lcm(*[d for _, d in ratios])
+    return lcm, tuple([n * (lcm // d) for n, d in ratios])
+
+
+def _exact_sum(values) -> Num:
+    """sum(values), as one Fraction over the common denominator when every
+    value is exact (0 when there are none)."""
+    if all(map(is_exact, values)):
+        lcm, nums = _numerators(values)
+        return Fraction(sum(nums), lcm)
+    return sum(values)
 
 
 def check_mode(mode: str) -> str:

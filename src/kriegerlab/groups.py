@@ -287,8 +287,10 @@ def _mult_group_exact(pts) -> GroupStructure:
              "(prime valuation vectors not parallel)",))
     g = math.gcd(*exponents)
     lam = h ** g
-    for x, k in zip(pts, exponents):
-        assert Fraction(x) == h ** k, "exponent reconstruction failed"
+    hn, hd = h.numerator, h.denominator
+    for x, k in zip(pts, exponents):        # x == h**k, with k >= 1 as x, h lie in (0,1)
+        assert x.numerator * hd ** k == x.denominator * hn ** k, \
+            "exponent reconstruction failed"
     return GroupStructure(
         CYCLIC, lam, EXACT, None,
         (f"common generator {format_scalar(h)} with exponents "

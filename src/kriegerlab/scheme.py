@@ -272,14 +272,14 @@ class ExplicitWeights(_Template):
     def check(self, mode: str, first: int):
         if len(self.weights) < 2:
             raise SpecError("alphabet size must be >= 2")
-        if any(w <= 0 for w in self.weights):
+        if not _positive(self.weights):
             raise NonPositiveWeight(f"explicit template has a non-positive weight")
 
     def normalized(self):
         return ExplicitWeights(_descending_normalized(self.weights))
 
     def is_normalized(self, mode: str) -> bool:
-        return _is_sorted_desc(self.weights) and _sums_to_one(self.weights, mode)
+        return all(_sum_and_order(self.weights, mode))
 
     def describe(self) -> str:
         return f"explicit({', '.join(str(w) for w in self.weights)})"
@@ -320,7 +320,7 @@ class GeometricTail(_Template):
     def check(self, mode: str, first: int):
         if not self.base:
             raise SpecError("geometric tail needs a non-empty base")
-        if any(w <= 0 for w in self.base):
+        if not _positive(self.base):
             raise NonPositiveWeight("geometric tail base has a non-positive weight")
         if not (0 < self.ratio < 1):
             raise SpecError("geometric tail ratio must be in (0,1)")
@@ -482,7 +482,7 @@ class Perturbed(_Template):
     def check(self, mode: str, first: int):
         if len(self.limit) < 2:
             raise SpecError("alphabet size must be >= 2")
-        if any(v <= 0 for v in self.limit):
+        if not _positive(self.limit):
             raise NonPositiveWeight("perturbed limit vector has a non-positive entry")
         if self.needs_float() and mode == RATIONAL:
             raise ModeError("perturbed template with a non-zero deviation needs float mode")
@@ -504,7 +504,7 @@ class Perturbed(_Template):
         return Perturbed(tuple(_div(self.limit[i], total) for i in order), self.deviation)
 
     def is_normalized(self, mode: str) -> bool:
-        return _is_sorted_desc(self.limit) and _sums_to_one(self.limit, mode)
+        return all(_sum_and_order(self.limit, mode))
 
     def describe(self) -> str:
         vec = ", ".join(str(v) for v in self.limit)
@@ -592,16 +592,30 @@ def _two_point_weights(lam: Num) -> tuple:
 
 
 def _descending_normalized(vec) -> tuple:
+    if all(map(is_exact, vec)):
+        _, nums = _numerators(vec)
+        total = sum(nums)
+        return tuple(Fraction(n, total) for n in sorted(nums, reverse=True))
     total = sum(vec)
     return tuple(_div(w, total) for w in sorted(vec, reverse=True))
+
+
+def _positive(values) -> bool:
+    """Whether every weight is > 0, read off a Fraction's numerator."""
+    return not any((w.numerator if type(w) is Fraction else w) <= 0 for w in values)
 
 
 def _is_sorted_desc(values) -> bool:
     return all(values[i] >= values[i + 1] for i in range(len(values) - 1))
 
 
-def _sums_to_one(values, mode: str) -> bool:
-    return _sums_to_one_value(sum(values), mode)
+def _sum_and_order(values, mode: str) -> tuple:
+    """(sums to 1, sorted descending) of a weight vector: with (L, N) its
+    numerators, sum N == L and N descending when it is exact in rational mode."""
+    if mode == RATIONAL and all(map(is_exact, values)):
+        lcm, nums = _numerators(values)
+        return sum(nums) == lcm, _is_sorted_desc(nums)
+    return _sums_to_one_value(sum(values), mode), _is_sorted_desc(values)
 
 
 def _sums_to_one_value(total, mode: str) -> bool:
@@ -666,21 +680,18 @@ class ValidatedScheme:
 
     def _check(self):
         spec = self.spec
+        _check_before_normalize(spec)
         for v, vec in enumerate(spec.prefix, start=1):
-            if len(vec) < 2:
-                raise SpecError(f"prefix coordinate {v}: alphabet size must be >= 2")
-            if any(w <= 0 for w in vec):
-                raise NonPositiveWeight(f"prefix coordinate {v} has a non-positive weight")
-            if not _sums_to_one(vec, spec.mode):
+            sums, descending = _sum_and_order(vec, spec.mode)
+            if not sums:
                 raise NotNormalized(
                     f"prefix coordinate {v} does not sum to 1 (run normalize)")
-            if not _is_sorted_desc(vec):
+            if not descending:
                 raise NotNormalized(
                     f"prefix coordinate {v} is not sorted descending (run normalize)")
-            if spec.mode == RATIONAL and not all(is_exact(w) for w in vec):
+            if spec.mode == RATIONAL and not all(map(is_exact, vec)):
                 raise ModeError(f"prefix coordinate {v} carries floats in rational mode")
         for cls in spec.classes:
-            cls.template.check(spec.mode, cls.indices.start or cls.indices.members[0])
             if not cls.template.is_normalized(spec.mode):
                 raise NotNormalized(
                     f"class {cls.describe()} is not normalized (run normalize)")
@@ -799,6 +810,18 @@ class ValidatedScheme:
         return all(c.template.max_alphabet() == 2 for _, c in self.infinite_classes())
 
 
+def _check_before_normalize(spec: SchemeSpec):
+    """The checks a spec passes before it is normalized: each prefix
+    vector's size and positivity, and each class's template check."""
+    for v, vec in enumerate(spec.prefix, start=1):
+        if len(vec) < 2:
+            raise SpecError(f"prefix coordinate {v}: alphabet size must be >= 2")
+        if not _positive(vec):
+            raise NonPositiveWeight(f"prefix coordinate {v} has a non-positive weight")
+    for cls in spec.classes:
+        cls.template.check(spec.mode, cls.indices.start or cls.indices.members[0])
+
+
 def validate(spec: SchemeSpec) -> ValidatedScheme:
     """Check every invariant and return the checked spec; it keeps no memo."""
     return ValidatedScheme(spec)
@@ -815,8 +838,11 @@ class NormalizeResult:
 def normalize(spec: SchemeSpec) -> NormalizeResult:
     """Sort every weight vector descending and rescale to sum 1.
 
-    Symbol 0 carries the maximum weight afterwards.  Idempotent.
+    Symbol 0 carries the maximum weight afterwards.  Idempotent.  The
+    spec passes its size, positivity and template checks first, which
+    the arithmetic of normalizing assumes.
     """
+    _check_before_normalize(spec)
     prefix = tuple(_descending_normalized(vec) for vec in spec.prefix)
     classes = tuple(IndexClass(cls.indices, cls.template.normalized())
                     for cls in spec.classes)
@@ -881,17 +907,22 @@ def truncate_alphabet(vs: ValidatedScheme, n: int, delta) -> TruncatedAlphabet:
     if not (0 < delta <= Fraction(1, 2)):
         raise SpecError("truncation budget delta must be in (0, 1/2]")
     where, pos = vs.locate(n)
-    if where == "prefix" or vs.classes[where].template.alphabet_size(pos) is not None:
+    tpl = None if where == "prefix" else vs.classes[where].template
+    if tpl is None or tpl.alphabet_size(pos) is not None:
         w = vs.weights_at(n)
         if vs.mode == RATIONAL:
-            # summed over the common denominator, one Fraction in all
-            lcm, nums = _numerators(w)
+            # summed over the common denominator, one Fraction in all; a capped
+            # class repeats its weight from the cap on, so its k + 1 distinct
+            # weights give (L, N)
+            k = min(len(w) - 1, tpl.cap) + 1 if isinstance(tpl, CappedGeometric) else len(w)
+            lcm, nums = _numerators(w[:k])
+            nums += (nums[-1],) * (len(w) - k)
             return TruncatedAlphabet(w, Fraction(sum(nums), lcm), True, (lcm, nums))
         if not min(w) > 0:
             raise NonPositiveWeight(f"a weight of coordinate {n} underflows to 0 "
                                     "in float mode; use rational mode")
         return TruncatedAlphabet(w, sum(w), True)
-    tpl = vs.classes[where].template         # a geometric tail, the one infinite alphabet
+    # tpl is a geometric tail, the one infinite alphabet
     target = 1 - as_mode(delta, vs.mode)
     if vs.mode == RATIONAL:
         weights, mass = _truncate_rational_tail(tpl, target)

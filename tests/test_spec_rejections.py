@@ -115,6 +115,40 @@ CLI_CASES = [
     ("capped-sizes",
      spec({"kind": "capped_geometric", "ratio": "1/2", "cap": 1, "size_start": 1}), None,
      "capped geometric needs size_start >= 2 and size_step >= 1"),
+    # checked before normalizing, whose arithmetic each of these once broke
+    ("tail-zero-before-normalize",
+     spec({"kind": "geometric_tail", "base": ["0", "1/2"], "ratio": "1/2"}), None,
+     "geometric tail base has a non-positive weight"),
+    ("tail-negative-before-normalize",
+     spec({"kind": "geometric_tail", "base": ["-1", "1/2"], "ratio": "1/2"}), None,
+     "geometric tail base has a non-positive weight"),
+    ("tail-empty-before-normalize",
+     spec({"kind": "geometric_tail", "base": [], "ratio": "1/2"}), None,
+     "geometric tail needs a non-empty base"),
+    ("tail-ratio-one-before-normalize",
+     spec({"kind": "geometric_tail", "base": ["1/2"], "ratio": "1"}), None,
+     "geometric tail ratio must be in (0,1)"),
+    ("tail-ratio-two-before-normalize",
+     spec({"kind": "geometric_tail", "base": ["1/2"], "ratio": "2"}), None,
+     "geometric tail ratio must be in (0,1)"),
+    ("tail-float-ratio-before-normalize",
+     spec({"kind": "geometric_tail", "base": ["1", "1/3", "1/2"], "ratio": "1e300"},
+          mode="float"), None,
+     "geometric tail ratio must be in (0,1)"),
+    ("perturbed-empty-before-normalize",
+     spec({"kind": "perturbed", "limit": [], "deviation": geometric()}), None,
+     "alphabet size must be >= 2"),
+    ("explicit-zero-before-normalize", spec({"kind": "explicit", "weights": ["0"]}), None,
+     "alphabet size must be >= 2"),
+    ("explicit-zero-float-before-normalize",
+     spec({"kind": "explicit", "weights": [0]}, mode="float"), None,
+     "alphabet size must be >= 2"),
+    ("explicit-negative-before-normalize",
+     spec({"kind": "explicit", "weights": ["-1", "-2"]}), None,
+     "explicit template has a non-positive weight"),
+    ("prefix-zero-sum-before-normalize",
+     spec(indices={"start": 2, "step": 1}, prefix=[["1", "-1"]]), None,
+     "prefix coordinate 1 has a non-positive weight"),
     # ValidatedScheme._check on the prefix
     ("prefix-one-symbol", spec(indices={"start": 2, "step": 1}, prefix=[["1"]]), None,
      "prefix coordinate 1: alphabet size must be >= 2"),
