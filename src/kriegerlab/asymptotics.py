@@ -34,7 +34,6 @@ class NotTwoPoint(SpecError):
 
 SUMMABLE = "summable"
 DIVERGENT = "divergent"
-INCONCLUSIVE = "inconclusive"   # no rule gives it; replay reads it in older certificates
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,11 @@ from .exact import (
     RATIONAL, Num, _exact_sum, _numerators, as_mode, format_scalar, is_exact,
 )
 from .asymptotics import (
-    DIVERGENT, INCONCLUSIVE, SUMMABLE,
+    DIVERGENT, SUMMABLE,
     SeriesPart, SummabilityVerdict, Term, _is_limit,
     lambda_clusters, summability, union_cluster_report,
 )
-from .groups import CYCLIC, DENSE, TRIVIAL, mult_group
+from .groups import CYCLIC, DENSE, mult_group
 from .scheme import (
     CappedGeometric, ExplicitWeights, GeometricTail, Perturbed, SchemeSpec,
     TP_CONST, TP_EXP, TP_WEIGHT, TwoPoint, ValidatedScheme, ZERO, _div,
@@ -39,9 +39,6 @@ LABEL_III_0 = "III_0"
 LABEL_III_LAMBDA = "III_lambda"
 LABEL_III_1 = "III_1"
 LABEL_INCONCLUSIVE = "inconclusive"
-
-LABELS = (LABEL_I_INF, LABEL_II_1, LABEL_II_INF,
-          LABEL_III_0, LABEL_III_LAMBDA, LABEL_III_1, LABEL_INCONCLUSIVE)
 
 # the cap C of the type-III series: min(x**2, C) and min(x**2, C') bound each
 # other up to a constant, so every C > 0 gives the same verdicts
@@ -369,15 +366,11 @@ def _decide_two_point(ev: dict, group):
         return LABEL_III_0, "two-point-lambda-set-zero-one"
     if DIVERGENT in verdicts:
         return LABEL_III_1, "two-point-deviations-divergent"
-    if INCONCLUSIVE in verdicts:
-        return LABEL_INCONCLUSIVE, "two-point-deviations-inconclusive"
     if _group_kind(group) == DENSE:
         return LABEL_III_1, "two-point-dense-group"
     if _group_kind(group) == CYCLIC:
         return LABEL_III_LAMBDA, "two-point-cyclic-group"
-    if not verdicts:            # one deviation verdict per non-zero cluster value
-        return LABEL_INCONCLUSIVE, "two-point-lambda-only-zero"
-    return LABEL_INCONCLUSIVE, "two-point-trivial-group-contradiction"
+    return LABEL_INCONCLUSIVE, "two-point-lambda-only-zero"
 
 
 def _recorded_group(ev: dict):
@@ -453,11 +446,6 @@ def classify_III_two_point(vs: ValidatedScheme) -> tuple:
     if not zero_one and all(v.summable for v in eps_verdicts.values()):
         if nonzero:
             group_struct = mult_group(nonzero)
-            if group_struct.kind == TRIVIAL:
-                warnings.append(
-                    "two-point-trivial-group-contradicts-type-III: every lambda "
-                    "cluster value is 1 and all deviations are summable, which "
-                    "contradicts the established type-III verdict")
         else:
             warnings.append(
                 "ambiguous-zero-in-lambda-set: the lambda sequence clusters only "
@@ -553,10 +541,7 @@ def replay(verdict_dict: dict) -> tuple:
     """
     ev = verdict_dict["certificate"]["evidence"]
     for key, _, label in _CHAIN:
-        verdict = ev[key]["verdict"]
-        if verdict == INCONCLUSIVE:
-            return LABEL_INCONCLUSIVE, None
-        if verdict == SUMMABLE:
+        if ev[key]["verdict"] == SUMMABLE:
             return label, None
     name = ev.get("branch")
     if name not in _BRANCHES:

@@ -218,19 +218,12 @@ def commensurable(a: Num, b: Num) -> Optional[tuple]:
 # ---------------------------------------------------------------------------
 # group structure
 
-def _strip_ones(points):
-    out = []
-    for x in points:
-        if x == 1 or (not is_exact(x) and abs(float(x) - 1.0) <= 1e-12):
-            continue
-        out.append(x)
-    return out
-
-
 def mult_group(points) -> GroupStructure:
     """Structure of the closed multiplicative group generated by the points.
 
-    Points must be a finite non-empty subset of (0,1].  A cyclic result
+    Points must be a finite non-empty subset of (0,1].  Only a point equal
+    to 1 exactly is dropped, as the series tests treat only an exact 1 as
+    1; a float just below 1 generates like any other.  A cyclic result
     reports the largest generator in (0,1); exact inputs are decided by
     exponent vectors over a coprime basis (Euclid on exponents), float
     inputs by iterated continued-fraction reduction.
@@ -242,7 +235,7 @@ def mult_group(points) -> GroupStructure:
         raise ZeroInSet("0 in point set; strip it and handle it separately")
     if any(not (0 < x <= 1) for x in pts):
         raise DomainError("points must lie in (0,1]")
-    pts = _strip_ones(pts)
+    pts = [x for x in pts if x != 1]
     if not pts:
         return GroupStructure(TRIVIAL, None, EXACT, None,
                               ("all points equal 1",))

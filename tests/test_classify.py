@@ -1,5 +1,7 @@
+import io
 import math
 import random
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,13 +9,14 @@ from hypothesis import strategies as st
 
 from kriegerlab import (
     CappedGeometric, Deviation, ExplicitWeights, GeometricTail, IndexClass,
-    Indices, Perturbed, SchemeSpec, TwoPoint, classify, mult_group, normalize,
-    load_spec, replay, union_cluster_report, validate,
+    Indices, Perturbed, SchemeSpec, TwoPoint, classify, dump_spec, mult_group,
+    normalize, load_spec, replay, union_cluster_report, validate,
 )
 from kriegerlab import test_type_I as type_I_series
 from kriegerlab import test_type_II1 as type_II1_series
 from kriegerlab import test_type_III as type_III_series
 from kriegerlab.classify import uniformity_defect, ratio_defect
+from kriegerlab.cli import main
 from kriegerlab.exact import format_scalar
 
 from conftest import (
@@ -530,6 +533,79 @@ def test_unbounded_trivial_group_decision_path():
         == ("III_0", "unbounded-trivial-group")
     assert _decide_unbounded(evidence(eighth, "0"), None) == ("III_1", "unbounded-liminf-zero")
     assert _decide_unbounded(evidence(eighth, 1e-10), None) == ("III_1", "unbounded-liminf-zero")
+
+
+@pytest.mark.parametrize("template", [
+    TwoPoint("const", 0.9999999999999),
+    TwoPoint("exp", 0.9999999999999, Deviation("geometric", rho=0.5)),
+])
+def test_float_lambda_just_below_one_is_III_lambda(tmp_path, template):
+    # only an exact 1 is 1: a constant ratio limit 1 - 1e-13 makes the type-III
+    # series diverge and generates a cyclic group, both at that value
+    path = tmp_path / "near_one.spec"
+    path.write_text(dump_spec(single_class(template, mode="float")))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["classify", str(path)])
+    assert (code, out.getvalue().splitlines()[:3]) == (0, [
+        "III_lambda lambda=0.9999999999999",
+        "  mode: float   C: 1.0",
+        "  fired: type-I-series-divergent, type-II1-series-divergent, "
+        "type-III-series-divergent, two-point-cyclic-group"])
+
+
+NEAR_ONE = (0.9999999999999, 1 - 2 ** -52, 1 - 5e-13)
+
+
+@st.composite
+def _two_point_deviation(draw, mode, positive):
+    """A deviation with eps_n <= 1/2, summable or not; strictly positive if asked."""
+    x = float if mode == "float" else F
+    coeff = x(draw(st.sampled_from([F(1, 2), F(1, 8)])))
+    exponents = [F(1), F(2)] if mode == "rational" else [F(1, 2), F(1), F(3, 2)]
+    options = [Deviation("geometric", rho=x(rho), coeff=coeff) for rho in (F(1, 2), F(9, 10))]
+    options += [Deviation("power", exponent=x(p), coeff=coeff) for p in exponents]
+    if not positive:
+        options.append(Deviation("explicit", values=(x(F(1, 4)), x(F(1, 8)))))
+    return draw(st.sampled_from(options))
+
+
+@st.composite
+def _two_point_template(draw, mode):
+    forms = ["const", "weight"] + (["exp", "one_minus_exp"] if mode == "float" else [])
+    form = draw(st.sampled_from(forms))
+    if form in ("weight", "one_minus_exp"):         # lambda -> 0
+        return TwoPoint(form, None, draw(_two_point_deviation(mode, positive=True)))
+    values = [F(1, 2), F(2, 3), F(1, 4)]
+    if mode == "float":
+        values = [float(v) for v in values] + list(NEAR_ONE) + (
+            [1.0] if form == "exp" else [])
+    value = draw(st.sampled_from(values))
+    if form == "const":
+        return TwoPoint("const", value)
+    return TwoPoint("exp", value, draw(_two_point_deviation(mode, positive=value == 1)))
+
+
+@st.composite
+def two_point_specs(draw):
+    mode = draw(st.sampled_from(["rational", "float"]))
+    templates = draw(st.lists(_two_point_template(mode), min_size=1, max_size=3))
+    k = len(templates)
+    return SchemeSpec(mode, (), tuple(IndexClass(Indices(j + 1, k), t)
+                                      for j, t in enumerate(templates)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_point_specs())
+@example(single_class(TwoPoint("const", 0.9999999999999), mode="float"))
+def test_two_point_branch_never_records_a_trivial_group(spec):
+    # a trivial group needs every non-zero lambda limit to be exactly 1 with
+    # summable deviations; the type-III terms of those classes are then eps_n**2,
+    # summable too, and a zero limit beside them makes the lambda set {0, 1}
+    ev = classify(spec).certificate.evidence
+    if ev.get("branch") == "two_point":
+        group = ev["two_point"]["group"]
+        assert group is None or group["kind"] != "trivial"
 
 
 def test_mixed_infinite_alphabet_with_two_point_class():

@@ -136,6 +136,22 @@ def test_witness_eps_range_is_the_searchs(capsys):
     assert "eps must lie in (0, target)" in err
 
 
+def test_witness_beyond_its_state_cap_is_inconclusive(capsys):
+    spec = str(SPEC_DIR / "interleave_2_3.spec")
+    argv = ["witness", spec, "--target", "1/7", "--eps", "1/1000000000000",
+            "--max-block", "20", "--state-cap", "50"]
+    assert run_cli(capsys, *argv, "--format", "json")[:2] == (2, json.dumps({
+        "budget_exceeded": "enumeration exceeded the state cap of 50",
+        "command": "witness",
+        "eps": "1/1000000000000",
+        "scope": {"delta": "1/1000", "max_block": 20, "start": 0, "state_cap": 50},
+        "spec": spec,
+        "target": "1/7",
+        "witness": None}, indent=2, sort_keys=True) + "\n")
+    assert run_cli(capsys, *argv) == (2, "no witness in scope (max_block=20, delta=1/1000)\n"
+                                         "  note: enumeration exceeded the state cap of 50\n", "")
+
+
 # ---------------------------------------------------------------------------
 # sample / oracle
 
@@ -150,6 +166,19 @@ def test_sample_writes_export_and_lattice(tmp_path, capsys):
     assert len(lines) == 200
     idx, log_d, num, den = lines[0].split(", ")
     int(num), int(den)
+
+
+def test_sample_with_one_nonzero_sample_leaves_the_lattice_undecided(capsys):
+    spec = str(SPEC_DIR / "powers_half.spec")
+    argv = ["sample", spec, "--samples", "1", "--window", "3", "--start", "0"]
+    reason = "need at least two nonzero samples to discriminate lattice from non-lattice"
+    assert run_cli(capsys, *argv) == (0, "0, 0.69314718055994529, 2, 1\n"
+                                         f"lattice: undecided ({reason})\n", "")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert (code, json.loads(out)) == (0, {
+        "command": "sample", "delta": "1/1000", "lattice": None, "lattice_error": reason,
+        "n_samples": 1, "records": ["0, 0.69314718055994529, 2, 1"],
+        "seed": 4770246926087303473, "spec": spec, "start": 0, "window": 3})
 
 
 def test_sample_records_beyond_the_int_str_digit_limit(tmp_path, capsys):
@@ -324,6 +353,15 @@ def test_agreement_rejects_lambda_beyond_tolerance():
     assert not _labels_agree(verdict, off)
     wrong_kind = {"label": "III_1-like", "lambda": None}
     assert not _labels_agree(verdict, wrong_kind)
+
+
+@pytest.mark.parametrize("analytic, empirical", [
+    (F(1, 2), None), (F(1, 2), 0.0), (F(1, 2), -0.5), (1.0, 0.5)])
+def test_agreement_rejects_lambdas_without_a_log_ratio(analytic, empirical):
+    from kriegerlab.classify import TypeVerdict
+    from kriegerlab.cli import _labels_agree
+    verdict = TypeVerdict("III_lambda", analytic, None)
+    assert _labels_agree(verdict, {"label": "III_lambda-like", "lambda": empirical}) is False
 
 
 def test_budget_flags_validated(capsys):

@@ -133,6 +133,16 @@ def test_trivial_group():
     assert g.kind == "trivial"
 
 
+def test_only_an_exact_one_is_dropped():
+    assert mult_group([1.0]).kind == "trivial"
+    g = mult_group([F(1, 2), F(1)])
+    assert (g.kind, g.generator) == ("cyclic", F(1, 2))
+    # the series tests see a float just below 1 as a constant ratio, and so
+    # does the group
+    g = mult_group([0.9999999999999])
+    assert (g.kind, g.generator) == ("cyclic", 0.9999999999999)
+
+
 def test_cyclic_from_powers_of_half():
     g = mult_group([F(1, 2), F(1, 8)])
     assert g.kind == "cyclic"
