@@ -22,12 +22,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, cycle
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .exact import RATIONAL, Num, format_scalar, is_exact
-from .groups import exponent_moves, grow, split_words, window_hits
+from .groups import between, exponent_moves, grow, split_words, window_hits
 from .scheme import SpecError, ValidatedScheme, truncate_alphabet
 
 DEFAULT_STATE_CAP = 10 ** 8
@@ -261,7 +262,9 @@ def _levels(coordinate_moves, state_cap: int, counter: list, levels=_ROOT,
     level k - 1 is its level k - 1 and coordinate k carries the very same
     move list, level k is its level k, taken instead of rebuilt.  Each
     level's states, level size times move count, are counted as it is
-    reached, taken or built, so a cap trips where a rebuild trips.
+    reached, taken or built, so a cap trips where a rebuild trips.  The
+    exponent path walks levels only once a bound on their states passes
+    the cap (see :func:`_exponent_search`).
     """
     levels = list(levels)
     other, other_moves = shared
@@ -302,36 +305,59 @@ def _exponent_search(vs: ValidatedScheme, coords: range, delta: Num, state_cap: 
     it, while every move is an integer power g**d of one rational g > 1,
     else (False, None) at the first alphabet whose moves are not.
 
-    Levels are masks of exponents, counted in the same order and size as
-    the integer keys.  A length hits where the block's exponents meet the
-    window within eps = en/ed of target = tn/td; the pair and its words
-    are the ones :func:`_closest` and the back-pointers give.
-    ``truncated`` receives each coordinate's truncated alphabet.
+    The states are those the integer keys count, bounded without a walk:
+    a level's bit count is at most its moves' spans (max d - min d) plus
+    1, and a length charges 1 + length // 2 levels at an odd length, 1 at
+    an even one, each by the widest move list.  Once that running bound
+    passes the cap, the halves' levels (:func:`_levels`) are walked from
+    length 1 on and counted exactly, so the cap trips where it trips on
+    integer keys.  A length hits where the block's exponents meet the
+    window within eps = en/ed of target = tn/td, one bit test against a
+    final window; the pair and its words, from the halves' masks built on
+    a hit, are the ones :func:`_closest` and the back-pointers give.  Each
+    distinct alphabet's moves are formed once, keyed by its distinct
+    numerators with their first symbols.  ``truncated`` receives each
+    coordinate's truncated alphabet.
     """
-    g = None
+    g, memo = None, {}
 
     def alphabet_moves(n):
         nonlocal g
         alphabet = truncate_alphabet(vs, n, delta)
-        g, moves = exponent_moves(alphabet.numerators[1], g)
-        return alphabet, moves
+        nums = alphabet.numerators[1]
+        # each distinct numerator with its first symbol, which the moves name
+        key = tuple(dict(zip(nums[::-1], range(len(nums) - 1, -1, -1))).items())
+        if key not in memo:
+            g, memo[key] = exponent_moves(nums, g)
+        return alphabet, memo[key]
     counter, moves, left, right, full, low, window = [0], [], (1,), (1,), 1, 0, None
+    span = width = bound = walked = 0
     for length, (alphabet, m) in enumerate(_by_alphabet(vs, coords, alphabet_moves), 1):
         truncated.append(alphabet)
         if m is None:
             return False, None
         moves.append(m)
-        mid = (length + 1) // 2
-        if length % 2:
-            left = _levels(moves[mid - 1:mid], state_cap, counter, left)
-            right = _levels(moves[mid:], state_cap, counter, (1,), (left, moves))
-        else:
-            right = _levels(moves[-1:], state_cap, counter, right, (left, moves))
+        if bound <= state_cap:
+            span, width = span + m[-1][0] - m[0][0], max(width, len(m))
+            bound += (1 + length // 2 if length % 2 else 1) * (span + 1) * width
+        # past the cap, walk every length so far once, then each new one
+        while bound > state_cap and walked < length:
+            walked += 1
+            mid = (walked + 1) // 2
+            if walked % 2:
+                left = _levels(moves[mid - 1:mid], state_cap, counter, left)
+                right = _levels(moves[mid:walked], state_cap, counter, (1,), (left, moves))
+            else:
+                right = _levels(moves[walked - 1:walked], state_cap, counter, right, (left, moves))
         full, low = grow(full, m), low + m[0][0]
-        window, near = window_hits(g, window, full, low, tn, td, en, ed)
-        if near:
-            e, x, y = split_words(near, moves[:mid], moves[mid:], left[-1], right[-1])
-            return True, (length, x, y, g ** e if e else Fraction(1))
+        if window is None or window[0] is not g or not window[1] \
+                or between(full, low, window[2] + 1, window[4]):
+            window, near = window_hits(g, window, full, low, tn, td, en, ed)
+            if near:
+                mid = (length + 1) // 2
+                halves = moves[:mid], moves[mid:]
+                e, x, y = split_words(near, *halves, *(reduce(grow, h, 1) for h in halves))
+                return True, (length, x, y, g ** e if e else Fraction(1))
     return True, None
 
 
@@ -399,7 +425,9 @@ def witness_search(vs: ValidatedScheme, target: Num, eps: Num,
     among the sorted right values, as rounding makes a window inexact.
 
     A rational search runs on exponents (:func:`_exponent_search`) while
-    every ratio is a power of one generator; at the first alphabet whose
+    every ratio is a power of one generator, where a length that misses
+    costs a bound on its states and one bit test, and levels are walked
+    only once that bound passes the cap; at the first alphabet whose
     ratios are not, it starts over on integer keys, with a fresh count and
     the alphabets truncated so far.
     """

@@ -23,6 +23,8 @@ from typing import Optional
 
 from .exact import RATIONAL, Num, _numerators, as_mode, check_mode, is_exact
 
+MAX_SYMBOLS = 10_000_000        # the most symbols one coordinate's weights may hold
+
 
 # ---------------------------------------------------------------------------
 # errors
@@ -546,6 +548,9 @@ class CappedGeometric(_Template):
 
     def weights_at(self, n: int, pos: int, mode: str) -> tuple:
         size = self.alphabet_size(pos)
+        if size > MAX_SYMBOLS:
+            raise BudgetUnreachable(
+                f"coordinate {n} has {size} symbols, more than the bound of {MAX_SYMBOLS}")
         k = min(size - 1, self.cap)
         if mode == RATIONAL and is_exact(self.ratio):
             # with ratio = a/b, weight i <= k is a**i * b**(k-i) / T over
@@ -933,7 +938,7 @@ def truncate_alphabet(vs: ValidatedScheme, n: int, delta) -> TruncatedAlphabet:
         w = as_mode(tpl.weight(len(weights)), vs.mode)
         weights.append(w)
         mass += w
-        if len(weights) > 10_000_000:
+        if len(weights) > MAX_SYMBOLS:
             raise BudgetUnreachable("truncation did not reach the mass budget")
     return TruncatedAlphabet(tuple(weights), mass, False)
 
@@ -957,7 +962,7 @@ def _truncate_rational_tail(tpl: GeometricTail, target: Fraction) -> tuple:
     while pn * td > tn * pd:
         weights.append(w)
         w, pn, pd = w * q, pn * qn, pd * qd
-        if len(weights) > 10_000_000:
+        if len(weights) > MAX_SYMBOLS:
             raise BudgetUnreachable("truncation did not reach the mass budget")
     mass += b * (1 - Fraction(pn, pd)) / (1 - q)
     return tuple(weights), mass

@@ -343,6 +343,11 @@ RATIONAL_SCHEMES = {
     "rank_one_then_two": lambda: SchemeSpec("rational", (
         (F(2, 3), F(1, 3)), (F(4, 7), F(2, 7), F(1, 7)), (F(2, 3), F(1, 3))), (
         IndexClass(Indices(4, 1), TwoPoint("const", F(1, 3))),)),
+    # the same distinct numerators 4, 2, 1 on both classes, but the
+    # weight 1 is symbol 3 on the odd coordinates and symbol 2 on the even
+    "explicit_4221_421": lambda: SchemeSpec("rational", (), (
+        IndexClass(Indices(1, 2), ExplicitWeights((F(4, 9), F(2, 9), F(2, 9), F(1, 9)))),
+        IndexClass(Indices(2, 2), ExplicitWeights((F(4, 7), F(2, 7), F(1, 7)))))),
 }
 # many symbols per coordinate: searched over short blocks only
 WIDE_SCHEMES = {"tail_19_20": 3}
@@ -487,6 +492,35 @@ def test_rank_one_searches_enumerate_no_level(spec, monkeypatch):
         kwargs = {"max_block": max_block, "state_cap": state_cap}
         assert _outcome(witness_search, *args, **kwargs) \
             == _outcome(_fraction_search, *args, **kwargs)
+
+
+def test_equal_numerators_at_other_symbols_get_their_own_moves():
+    # 8 = 4/2 * 4/1: the even coordinate's weight 1 is its symbol 2, not
+    # the odd coordinate's symbol 3
+    vs = validate(normalize_spec(RATIONAL_SCHEMES["explicit_4221_421"]()))
+    w = witness_search(vs, F(8), 1e-9, max_block=4)
+    assert (w.x, w.y) == ((1, 2), (0, 0))
+    assert w == _fraction_search(vs, F(8), 1e-9, max_block=4)
+
+
+@pytest.mark.parametrize("spec,start,max_block", [
+    (lambda: powers(F(1, 2)), 0, 46), (lambda: geometric_scheme(F(1, 2)), 0, 13),
+    (lambda: capped_scheme(), 40, 6),
+], ids=["powers_half", "geom_half", "capped_half_deep"])
+def test_rank_one_miss_under_the_cap_walks_no_level(spec, start, max_block, monkeypatch):
+    # the bound on the states stays below the default cap, so no level is
+    # walked; the window is final at length 1 and tested bit by bit after
+    # it; the capped coordinates' 42 to 47 symbols share one move list
+    vs = validate(normalize_spec(spec()))
+
+    def walked(*args):
+        raise AssertionError("a level walked below the state cap")
+    monkeypatch.setattr(cocycle, "_levels", walked)
+    moves = _count_calls(monkeypatch, cocycle, "exponent_moves")
+    windows = _count_calls(monkeypatch, cocycle, "window_hits")
+    target, eps = F(1, 3) + F(1, 7 * 10 ** 7), F(1, 10 ** 12)
+    assert witness_search(vs, target, eps, start=start, max_block=max_block) is None
+    assert (len(moves), len(windows)) == (1, 1)
 
 
 @pytest.mark.parametrize("prefix,fallback", [((), False), (((F(3, 4), F(1, 4)),), True)])

@@ -4,7 +4,8 @@ Each document is valid JSON with any template kind or deviation family;
 about one field in 25 takes an adversarial value (0, negatives, 1, 2,
 "1/0", "", huge integers, floats in rational mode, empty or one-entry
 vectors).  Each example is bounded by work until the time and memory
-bounds of ROADMAP item 8 land: capped caps and sizes at most 64, tails
+bounds of ROADMAP item 8 land: capped caps at most 64, capped sizes at
+most 64 or else 10**30, past the symbol bound of one coordinate, tails
 with q <= 99/100 (q <= 9/10 under ``witness``, where a rational tail at
 99/100 beside a second generator takes 25 s in the move enumeration),
 and ``--max-block`` at most 6.
@@ -25,7 +26,10 @@ HUGE = 10 ** 30
 BAD = st.sampled_from([0, -1, 1, 2, "1/0", "", HUGE, str(HUGE), f"1/{HUGE}", "-1/2",
                        0.5, 1e-10, 0.9999999999999, 1.0, 1e300, []])
 # the adversarial values of a size that the bounds below keep at most 64
-SMALL_BAD = st.sampled_from([0, -1, 1, 2, "1/0", "", "-1/2", 0.5, 1e-10, 1.0, []])
+SMALL = [0, -1, 1, 2, "1/0", "", "-1/2", 0.5, 1e-10, 1.0, []]
+SMALL_BAD = st.sampled_from(SMALL)
+# a capped size may also lie past the symbol bound of one coordinate
+SIZE_BAD = st.sampled_from(SMALL + [HUGE, str(HUGE)])
 FLOATS = {"unit": [0.5, 0.25, 0.9999999999999, 1e-10], "positive": [0.5, 2.0],
           "lambda": [0.5, 1.0, 0.9999999999999, 1e-10], "tail": [0.5, 0.9, 0.99]}
 STRINGS = {"unit": ["1/2", "1/3", "2/3", "3/4", "1/1024"], "positive": ["1", "2", "1/3", "5/7"],
@@ -72,8 +76,8 @@ def _documents(draw, mode, witness):
                               optional={"deviation": deviation}),
         st.fixed_dictionaries({"kind": st.just("capped_geometric"), "ratio": pool("unit"),
                                "cap": field(st.sampled_from([1, 2, 5, 64]), SMALL_BAD)},
-                              optional={"size_start": field(st.sampled_from([2, 3]), SMALL_BAD),
-                                        "size_step": field(st.sampled_from([1, 2]), SMALL_BAD)})),
+                              optional={"size_start": field(st.sampled_from([2, 3]), SIZE_BAD),
+                                        "size_step": field(st.sampled_from([1, 2]), SIZE_BAD)})),
         st.fixed_dictionaries({"kind": st.sampled_from(["", "bogus"])}))
 
     prefix = draw(field(st.lists(st.sampled_from([["1/2", "1/2"], ["2/3", "1/3"]]), max_size=2),

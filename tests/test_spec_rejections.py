@@ -18,6 +18,8 @@ from conftest import F, SPEC_DIR, single_class
 HALF = {"kind": "two_point", "lambda": {"form": "const", "value": "1/2"}}
 ALL = {"start": 1, "step": 1}
 ODD = {"start": 1, "step": 2}
+HUGE = 10 ** 30
+CAPPED_HUGE = {"kind": "capped_geometric", "ratio": "1/2", "cap": 3, "size_start": HUGE}
 
 
 def spec(template=HALF, indices=ALL, prefix=(), mode="rational", data="scheme", classes=None):
@@ -204,6 +206,14 @@ CLI_CASES = [
      "block length must be >= 1"),
     ("block-start", spec(), ["oracle", "--start", "-1", "--targets", "1/2"],
      "block start must be >= 0"),
+    # CappedGeometric.weights_at, before it builds a tuple of the size
+    ("capped-size-witness", spec(CAPPED_HUGE), ["witness", "--target", "2", "--eps", "1/100"],
+     f"coordinate 1 has {HUGE} symbols, more than the bound of 10000000"),
+    ("capped-size-sample", spec(CAPPED_HUGE), ["sample", "--start", "2", "--window", "2"],
+     f"coordinate 3 has {HUGE + 2} symbols, more than the bound of 10000000"),
+    ("capped-size-classify-finite",
+     spec(classes=[({"list": [1]}, CAPPED_HUGE), ({"start": 2, "step": 1}, HALF)]), None,
+     f"coordinate 1 has {HUGE} symbols, more than the bound of 10000000"),
     # cmd_convert
     ("convert-factor", json.loads((SPEC_DIR / "powers_half.factor").read_text()),
      ["convert", "--from", "scheme"], "input is factor data; use --from factor"),
